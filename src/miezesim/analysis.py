@@ -19,11 +19,16 @@ recorded points nearest the requested analyzer settings
 (``counts_witness``).  Agreement between them is a cross-check of the whole
 reduction, so none of them reuses another's fitted numbers.
 
-All fits share one engine: a coarse grid of phase starts (each with an exact
-weighted linear subproblem for the mean and amplitude) followed by
-Levenberg-Marquardt refinement with an analytic Jacobian.  Amplitudes are
-reported non-negative with the sign absorbed into the phase, and parameter
-covariances come from the Jacobian at the optimum.
+All fits share one closed-form engine.  The model is linear in
+``(A, B cos phi, -B sin phi)``, so one weighted solve of the
+``[1, cos theta, sin theta]`` normal equations gives the exact optimum; a
+normal matrix that is singular to working precision (too few distinct
+phases) raises ``FitError``.  The amplitude ``B = hypot(c, s)`` is
+non-negative with the sign carried by the phase, and the (A, B, phi)
+covariance is the linear-parameter covariance mapped by the delta method,
+which for ``B > 0`` equals the Gauss-Newton covariance at the optimum.  As
+``B`` tends to zero the phase sigma grows without bound; an amplitude of
+exactly zero leaves the phase undefined and raises ``FitError``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .beamline import BeamlineConfig, energy_phase, mieze_frequency, spin_phase
 from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError
@@ -65,8 +69,6 @@ __all__ = [
     "bootstrap_uncertainty",
 ]
 
-_N_PHASE_STARTS = 16
-_MAX_ITER = 200
 _SIGN_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -167,51 +169,29 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
 
 def _fit_cosine(theta: Array, y: Array, sigma: Array) -> FitResult:
     """Weighted fit of y = A + B cos(theta + phi); see module docstring."""
-    weight = 1.0 / sigma
-    best: tuple[float, float, float, float] | None = None
-    for start in np.arange(_N_PHASE_STARTS) * (2.0 * math.pi / _N_PHASE_STARTS):
-        design = np.column_stack([np.ones_like(theta), np.cos(theta + start)])
-        coef, *_ = np.linalg.lstsq(design * weight[:, None], y * weight, rcond=None)
-        resid = (design @ coef - y) * weight
-        chi2 = float(resid @ resid)
-        if best is None or chi2 < best[0]:
-            best = (chi2, float(coef[0]), float(coef[1]), float(start))
-    _, a0, b0, phi0 = best
-    if b0 < 0.0:
-        b0, phi0 = -b0, phi0 + math.pi
-
-    def residuals(p):
-        return (p[0] + p[1] * np.cos(theta + p[2]) - y) * weight
-
-    def jacobian(p):
-        arg = theta + p[2]
-        return np.column_stack([weight, np.cos(arg) * weight, -p[1] * np.sin(arg) * weight])
-
-    result = least_squares(
-        residuals,
-        x0=np.array([a0, max(b0, 0.0), phi0]),
-        jac=jacobian,
-        method="lm",
-        xtol=1e-10,
-        max_nfev=_MAX_ITER,
-    )
-    if not result.success:
+    design = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+    design /= sigma[:, None]
+    weighted_y = y / sigma
+    normal = design.T @ design
+    if np.linalg.matrix_rank(normal) < 3:
         raise FitError(
-            f"cosine fit did not converge after {result.nfev} evaluations: {result.message}"
+            "fit design is singular: the phases do not determine a cosine "
+            "(fewer than three distinct phases modulo 2 pi)"
         )
-    a, b, phi = (float(v) for v in result.x)
-    if b < 0.0:
-        b, phi = -b, phi + math.pi
-    phi = _wrap(phi)
-    jac = jacobian(np.array([a, b, phi]))
-    cov = np.linalg.pinv(jac.T @ jac)
-    chi2 = float(np.sum(residuals(np.array([a, b, phi])) ** 2))
+    coef = np.linalg.solve(normal, design.T @ weighted_y)
+    a, c, s = (float(v) for v in coef)
+    b = math.hypot(c, s)
+    if b == 0.0:
+        raise FitError("fitted amplitude is exactly zero: the phase is undefined")
+    resid = design @ coef - weighted_y
+    # (A, c, s) -> (A, B, phi) with c = B cos(phi), s = -B sin(phi)
+    grad = np.array([[1.0, 0.0, 0.0], [0.0, c / b, s / b], [0.0, s / b**2, -c / b**2]])
     return FitResult(
         mean_level=a,
         amplitude=b,
-        phase=phi,
-        covariance=cov,
-        chi_square=chi2,
+        phase=_wrap(math.atan2(-s, c)),
+        covariance=grad @ np.linalg.inv(normal) @ grad.T,
+        chi_square=float(resid @ resid),
         dof=max(theta.size - 3, 0),
     )
 
@@ -543,6 +523,13 @@ class BootstrapResult:
     s_values: tuple[float, ...]
 
 
+def _resample_rng(seed: int, index: int) -> np.random.Generator:
+    # High key word 1 sets these streams apart from the scan simulation's
+    # point streams, which are keyed by the bare 64-bit seed.
+    bitgen = np.random.Philox(key=(1 << 64) | seed, counter=index * 2**128)
+    return np.random.Generator(bitgen)
+
+
 def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSettings,
                           resamples: int = 200, seed: int = 0, channel: int = 0,
                           scan_kind: str = "offset") -> BootstrapResult:
@@ -551,11 +538,14 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     Each resample redraws every channel count around the observed value, so
     the spread of refitted S values estimates sigma_S without assuming the
     propagation linearization.  Resample streams are counter-partitioned from
-    the seed, making the estimate independent of batching.  More than 5%
-    failed refits raises a diagnostic error.
+    the seed, making the estimate independent of batching, and keyed apart
+    from ``simulate_scan``'s streams, so equal seeds share no draws.  More
+    than 5% failed refits raises a diagnostic error.
     """
     if resamples < 100:
         raise ConfigError(f"resamples must be >= 100, got {resamples}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     records = list(records)
     base_points = single_channel_points(cfg, records, channel=channel, scan_kind=scan_kind)
     theta = np.array([p[0] for p in base_points])
@@ -563,7 +553,7 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     s_values = []
     failures = 0
     for index in range(resamples):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=index * 2**128))
+        rng = _resample_rng(seed, index)
         counts = rng.poisson(observed).astype(float)
         sigma = np.sqrt(np.maximum(counts, 1.0))
         try:

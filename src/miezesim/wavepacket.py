@@ -50,7 +50,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamline import BeamlineConfig, focusing_distance, mieze_frequency
+from .beamline import BeamlineConfig, focusing_distance
 from .constants import CODATA2018
 from .errors import ConfigError, ResolutionError
 
@@ -348,6 +348,25 @@ def position_intensity(state: PacketState, z, t: float,
     return _combine(up, down, spin_projection)
 
 
+def _populations(state: PacketState) -> float:
+    """Summed branch populations (|w_up|^2 + |w_down|^2) integral |g|^2 dk."""
+    total = float(np.trapezoid(state.g**2, state.k))
+    return (abs(state.weight_up) ** 2 + abs(state.weight_down) ** 2) * total
+
+
+def _cross_term(state: PacketState, zcol: Array) -> Array:
+    """|g|^2-weighted integral of the branch-relative phasor at each plane of ``zcol``.
+
+    This is the time-independent factor of the analyzer's interference term;
+    the resolution guard runs on the relative phase before it is integrated.
+    """
+    relative_phase = (
+        state.theta_down - state.theta_up + (state.p_down - state.p_up) * zcol
+    )
+    _guard(relative_phase, "relative")
+    return np.trapezoid(state.g**2 * np.exp(1j * relative_phase), state.k, axis=-1)
+
+
 def detected_intensity(state: PacketState, z, t: float,
                        spin_projection: float | None = None):
     """Stationary-beam intensity at plane z for neutrons detected at time t.
@@ -359,19 +378,13 @@ def detected_intensity(state: PacketState, z, t: float,
     the branch populations are simply summed.
     """
     zcol = _z_column(z, t)
-    density = state.g**2
-    total = float(np.trapezoid(density, state.k))
-    populations = (abs(state.weight_up) ** 2 + abs(state.weight_down) ** 2) * total
+    populations = _populations(state)
     if spin_projection is None:
         out = np.full(zcol.shape[0], populations)
         return out if out.size > 1 else float(out[0])
     if not math.isfinite(spin_projection):
         raise ValueError("spin projection angle must be finite")
-    relative_phase = (
-        state.theta_down - state.theta_up + (state.p_down - state.p_up) * zcol
-    )
-    _guard(relative_phase, "relative")
-    cross = np.trapezoid(density * np.exp(1j * relative_phase), state.k, axis=-1)
+    cross = _cross_term(state, zcol)
     beat = (
         np.conj(state.weight_up)
         * state.weight_down
@@ -397,38 +410,25 @@ def stationary_peak_positions(state: PacketState, t: float) -> tuple[float, floa
     return out[0], out[1]
 
 
-def _fit_cosine_linear(t: Array, y: Array, omega: float) -> tuple[float, float]:
-    """Exact linear LSQ of y = a0 + a1 cos(w t) + a2 sin(w t); returns (mean, amp)."""
-    design = np.column_stack([np.ones_like(t), np.cos(omega * t), np.sin(omega * t)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0]), float(math.hypot(coef[1], coef[2]))
-
-
 def contrast_envelope(cfg: BeamlineConfig, spec: WavePacketSpec,
-                      delta_list, n_time: int = 32) -> list[tuple[float, float]]:
+                      delta_list) -> list[tuple[float, float]]:
     """Contrast of the detected time cosine at each detector offset.
 
     The packet is propagated through the two-flipper pipeline (no spin-phase
-    coil) and the beat is sampled over one period at the focus plus each
-    offset; the fitted modulation over mean gives the contrast.
+    coil).  At the focus plus each offset the detected signal is
+    ``P/2 + Re(beat(t) * cross)`` (see :func:`detected_intensity`), where
+    only the beat depends on t, so the modulation over mean is exactly
+    ``2 |w_up w_down| |cross| / P``.  All offsets share one quadrature and
+    the same resolution guard as ``detected_intensity``.
     """
-    omega_m = mieze_frequency(cfg)
+    deltas = [float(delta) for delta in delta_list]
+    if not deltas:
+        return []
     focus = cfg.l1 + focusing_distance(cfg, 0.0)
     state = pipeline_packet_state(cfg, spec)
-    period = 2.0 * math.pi / omega_m
-    times = np.arange(n_time) * (period / n_time)
-    out = []
-    for delta in delta_list:
-        delta = float(delta)
-        if not math.isfinite(delta):
-            raise ValueError(f"offset must be finite, got {delta!r}")
-        samples = np.array(
-            [detected_intensity(state, focus + delta, t, spin_projection=0.0)
-             for t in times]
-        )
-        mean, amp = _fit_cosine_linear(times, samples, omega_m)
-        out.append((delta, amp / mean))
-    return out
+    cross = _cross_term(state, _z_column(focus + np.array(deltas), 0.0))
+    weight = 2.0 * abs(state.weight_up * state.weight_down) / _populations(state)
+    return list(zip(deltas, (weight * np.abs(cross)).tolist()))
 
 
 @dataclass(frozen=True)

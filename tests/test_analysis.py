@@ -33,6 +33,8 @@ from miezesim import (
     witness_from_contrast,
     witness_from_fit,
 )
+from miezesim.analysis import _resample_rng
+from miezesim.synth import _point_rng
 
 CFG = BeamlineConfig(
     wavelength=0.55e-9,
@@ -134,6 +136,21 @@ def test_fit_global_needs_phase_span():
     points = [(0.1 * i, 10.0, 1.0) for i in range(8)]
     with pytest.raises(FitError, match="span"):
         fit_global(points)
+
+
+def test_fit_global_rejects_singular_design():
+    # 3.5 rad of span passes the coverage check, but two distinct phases
+    # cannot determine three cosine parameters.
+    points = [(0.0, 10.0, 1.0), (0.0, 11.0, 1.0), (3.5, 5.0, 1.0), (3.5, 6.0, 1.0),
+              (0.0, 10.5, 1.0)]
+    with pytest.raises(FitError, match="singular"):
+        fit_global(points)
+
+
+def test_fit_rejects_exactly_zero_amplitude():
+    # Flat data on eight even phases solves to c = s = 0 exactly: no phase.
+    with pytest.raises(FitError, match="exactly zero"):
+        fit_global(cosine_points(1.0, 0.0, 0.0, n=8))
 
 
 @pytest.mark.parametrize(
@@ -429,6 +446,21 @@ def test_bootstrap_is_deterministic_and_seeded():
     b3 = bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=100, seed=2)
     assert b1.s_values == b2.s_values
     assert b1.s_values != b3.s_values
+
+
+def test_bootstrap_streams_are_apart_from_simulation_streams():
+    for seed in (0, 42, 2**64 - 1):
+        for index in range(3):
+            boot = _resample_rng(seed, index).integers(0, 2**63, size=4)
+            sim = _point_rng(seed, index).integers(0, 2**63, size=4)
+            assert not np.array_equal(boot, sim)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bootstrap_rejects_seed_outside_64_bits(seed):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
+    with pytest.raises(ConfigError, match="seed"):
+        bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=100, seed=seed)
 
 
 def test_bootstrap_rejects_too_few_resamples():

@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import miezesim
 
 from miezesim import __version__, load_preset, optimal_settings, parse_run_config
 from miezesim.cli import main
@@ -52,6 +58,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert capsys.readouterr().out.strip() == f"miezesim {__version__}"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; nothing may pull scipy in.
+    env = dict(os.environ)
+    package_root = str(Path(miezesim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = "import sys, miezesim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

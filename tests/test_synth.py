@@ -1,5 +1,6 @@
 """Synthetic counting experiment: scan plans, sampling, normalization, CSV."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from miezesim import (
+    PRESETS,
     BeamlineConfig,
     ConfigError,
     CountsRecord,
@@ -16,6 +18,7 @@ from miezesim import (
     expected_channel_means,
     fit_time_series,
     ideal_intensity,
+    load_preset,
     mieze_frequency,
     normalize,
     read_counts_csv,
@@ -412,3 +415,24 @@ def test_csv_reader_rejects_malformed_input(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(ConfigError, match=fragment):
         read_counts_csv(path)
+
+
+# SHA-256 of the ideal-model counts.csv of each shipped preset at its own
+# seed.  Any change to the sampling streams or the CSV format moves these.
+GOLDEN_COUNTS_SHA256 = {
+    "cg4b-10khz": "ab8e1acbd993efdf78aea3438847a96a73a04a044cda7a1c8e971e445b76b070",
+    "cg4b-100khz": "451e5a191666584b841e32588de7ca6c5ab2e7e0c456a048f8485f4304e7d712",
+    "reseda": "84a8ff225d1588c39b80ecae7de1f3602d786c972c38f66ceb2dd10c4de1c1fc",
+}
+
+
+def test_golden_hashes_cover_every_preset():
+    assert set(GOLDEN_COUNTS_SHA256) == set(PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS_SHA256))
+def test_preset_counts_bytes_are_pinned(tmp_path, name):
+    rc = load_preset(name)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(path, simulate_scan(rc.beamline, rc.plan), rc.plan)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COUNTS_SHA256[name]

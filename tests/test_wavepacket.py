@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from miezesim import (
+    PRESETS,
     BeamlineConfig,
     ConfigError,
     PacketShape,
@@ -25,6 +26,7 @@ from miezesim import (
     ideal_intensity,
     initial_state,
     k_distribution,
+    load_preset,
     mieze_frequency,
     pipeline_packet_state,
     position_intensity,
@@ -317,6 +319,39 @@ def test_flat_envelope_over_offset_scan():
     # 0.2% bandwidth keeps the contrast above 0.99 across +-35 mm
     for _, contrast in contrast_envelope(CFG, SPEC, [-0.035, 0.0, 0.035]):
         assert contrast > 0.99
+
+
+def sampled_contrast(cfg, spec, delta, n_time=32):
+    """Reference envelope: linear cosine fit of one beat period of detected samples."""
+    omega_m = mieze_frequency(cfg)
+    state = pipeline_packet_state(cfg, spec)
+    z = cfg.l1 + focusing_distance(cfg, 0.0) + delta
+    times = np.arange(n_time) * (2.0 * math.pi / omega_m / n_time)
+    samples = [detected_intensity(state, z, t, spin_projection=0.0) for t in times]
+    design = np.column_stack(
+        [np.ones_like(times), np.cos(omega_m * times), np.sin(omega_m * times)]
+    )
+    coef, *_ = np.linalg.lstsq(design, np.array(samples), rcond=None)
+    return math.hypot(coef[1], coef[2]) / coef[0]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_envelope_matches_sampled_cosine_fit(name):
+    rc = load_preset(name)
+    deltas = sorted(set(rc.plan.offsets) | {0.0})
+    for delta, contrast in contrast_envelope(rc.beamline, rc.packet, deltas):
+        want = sampled_contrast(rc.beamline, rc.packet, delta)
+        assert math.isclose(contrast, want, rel_tol=0, abs_tol=1e-12)
+
+
+def test_envelope_resolution_guard_raises():
+    # 1 km off focus the relative phase outruns the 1.5-half-base RESEDA grid
+    state = pipeline_packet_state(RESEDA, RSPEC)
+    far = RESEDA.l1 + focusing_distance(RESEDA) + 1000.0
+    with pytest.raises(ResolutionError):
+        detected_intensity(state, far, 0.0, spin_projection=0.0)
+    with pytest.raises(ResolutionError):
+        contrast_envelope(RESEDA, RSPEC, [0.3, 1000.0])
 
 
 def test_resolution_guard_raises_instead_of_aliasing():
