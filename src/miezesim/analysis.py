@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beamline import BeamlineConfig, energy_phase, mieze_frequency, spin_phase
+from .beamline import BeamlineConfig, channel_phase, mieze_frequency, spin_phase
 from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError
 from .quantum import (
     WitnessSettings,
@@ -311,18 +311,6 @@ def witness_from_contrast(contrast: float) -> float:
     return 2.0 * math.sqrt(2.0) * contrast
 
 
-def _record_phase(cfg: BeamlineConfig, record: CountsRecord, scan_kind: str,
-                  channel: int) -> float:
-    """Model phase of one record's given time channel."""
-    n = len(record.counts)
-    omega_m = mieze_frequency(cfg)
-    t_channel = channel * (2.0 * math.pi / omega_m) / n
-    phase = spin_phase(cfg, record.current) + omega_m * t_channel
-    if scan_kind == "detuning":
-        return phase - 2.0 * record.coord * t_channel
-    return phase + energy_phase(cfg, record.coord)
-
-
 def single_channel_points(cfg: BeamlineConfig, records, channel: int = 0,
                           scan_kind: str = "offset") -> list[tuple[float, float, float]]:
     """(phase, counts, sigma) of one time channel across all scan points."""
@@ -336,10 +324,10 @@ def single_channel_points(cfg: BeamlineConfig, records, channel: int = 0,
         raise ConfigError(f"channel {channel} out of range for {n} time channels")
     points = []
     for rec in records:
+        phase = spin_phase(cfg, rec.current) + channel_phase(
+            cfg, scan_kind, rec.coord, channel, len(rec.counts))
         count = float(rec.counts[channel])
-        points.append(
-            (_record_phase(cfg, rec, scan_kind, channel), count, math.sqrt(max(count, 1.0)))
-        )
+        points.append((phase, count, math.sqrt(max(count, 1.0))))
     return points
 
 
@@ -366,7 +354,8 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
         var_c = max(fit.contrast_sigma**2, 1e-300)
         contrasts.append(fit.contrast)
         c_weights.append(1.0 / var_c)
-        base = _record_phase(cfg, rec, scan_kind, channel=0)
+        base = spin_phase(cfg, rec.current) + channel_phase(
+            cfg, scan_kind, rec.coord, 0, len(rec.counts))
         offset = fit.phase - base
         var_phi = max(float(fit.covariance[2, 2]), 1e-300)
         sin_sum += math.sin(offset) / var_phi
@@ -411,7 +400,6 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     if not records:
         raise ConfigError("no records to analyze")
     n = len(records[0].counts)
-    omega_m = mieze_frequency(cfg)
 
     by_point: dict[tuple[float, float], CountsRecord] = {}
     for rec in records:
@@ -422,12 +410,12 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     def pick_current(target: float) -> float:
         return min(currents, key=lambda c: (_wrap_distance(spin_phase(cfg, c), target), abs(c)))
 
+    phases = {d: channel_phase(cfg, "offset", d, np.arange(n), n).tolist() for d in offsets}
+
     def pick_gamma(target: float) -> tuple[float, int]:
         best = None
         for delta in offsets:
-            gamma0 = energy_phase(cfg, delta)
-            for ch in range(n):
-                value = gamma0 + omega_m * ch * (2.0 * math.pi / omega_m) / n
+            for ch, value in enumerate(phases[delta]):
                 key = (_wrap_distance(value, target), abs(delta), ch)
                 if best is None or key < best[0]:
                     best = (key, delta, ch)

@@ -172,6 +172,19 @@ def energy_phase_detuning(delta_omega: float, t: float) -> float:
     return -2.0 * delta_omega * t
 
 
+def channel_phase(cfg: BeamlineConfig, scan_kind: str, coord: float, channel, n: int):
+    """Phase omega_m t + gamma (rad) of time channel(s) ``channel`` of ``n`` per period T.
+
+    t = channel (T / n); gamma is ``energy_phase(coord)`` in offset scans and
+    -2 coord t in detuning scans.  The caller adds the spin phase alpha.
+    """
+    omega_m = mieze_frequency(cfg)
+    t = channel * (2.0 * math.pi / omega_m / n)
+    if scan_kind == "detuning":
+        return omega_m * t - 2.0 * coord * t
+    return omega_m * t + energy_phase(cfg, coord)
+
+
 def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> float:
     """Flipper-to-detector distance L2 (m) satisfying the focusing condition.
 

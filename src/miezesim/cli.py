@@ -361,10 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResolutionError as exc:
+    except (ConfigError, ResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PhysicsError as exc:
@@ -373,9 +370,6 @@ def main(argv=None) -> int:
     except (FitError, DiagnosticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

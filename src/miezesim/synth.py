@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamline import BeamlineConfig, energy_phase, mieze_frequency, spin_phase
+from .beamline import BeamlineConfig, channel_phase, spin_phase
 from .errors import ConfigError
 from .wavepacket import WavePacketSpec, contrast_envelope
 
@@ -135,21 +135,11 @@ class CountsRecord:
         return sum(self.counts)
 
 
-def _channel_times(cfg: BeamlineConfig, plan: ScanPlan) -> np.ndarray:
-    period = 2.0 * math.pi / mieze_frequency(cfg)
-    n = plan.time_channels_per_period
-    return np.arange(n) * (period / n)
-
-
 def _point_means(cfg: BeamlineConfig, plan: ScanPlan, current: float, coord: float,
                  contrast: float) -> np.ndarray:
-    omega_m = mieze_frequency(cfg)
-    times = _channel_times(cfg, plan)
-    phase = spin_phase(cfg, current) + omega_m * times + plan.phase_offset
-    if plan.scan_kind == "detuning":
-        phase = phase - 2.0 * coord * times
-    else:
-        phase = phase + energy_phase(cfg, coord)
+    n = plan.time_channels_per_period
+    phase = (spin_phase(cfg, current) + plan.phase_offset
+             + channel_phase(cfg, plan.scan_kind, coord, np.arange(n), n))
     return plan.background_rate + 0.5 * plan.counts_scale * (1.0 + contrast * np.cos(phase))
 
 
@@ -280,9 +270,9 @@ class CountsTable:
 
 
 def read_counts_csv(path) -> CountsTable:
-    """Read a counts CSV (plus sidecar metadata when present)."""
+    """Read a counts CSV (plus sidecar metadata, whose plan gives exact coordinates)."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", errors="replace") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ConfigError(f"{path}: empty counts file")
@@ -294,6 +284,21 @@ def read_counts_csv(path) -> CountsTable:
         raise ConfigError(f"{path}: unrecognized coordinate column {header[1]!r}")
     kind = kinds[header[1]]
     scale = _COORD_SCALE[kind]
+    sidecar = path.with_suffix(".meta.json")
+    metadata = None
+    if sidecar.exists():
+        try:
+            metadata = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{sidecar}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # undecodable bytes, an integer too long to convert
+            raise ConfigError(f"{sidecar}: {exc}") from exc
+        if not isinstance(metadata, dict):
+            raise ConfigError(f"{sidecar}: expected an object, got {type(metadata).__name__}")
+    try:  # the sidecar plan's coordinates, keyed by the CSV text they were written as
+        plan_coords = {_fmt(v * scale): float(v) for v in metadata["plan"][f"{kind}s"]}
+    except (TypeError, KeyError, OverflowError):
+        plan_coords = {}
 
     grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -303,7 +308,7 @@ def read_counts_csv(path) -> CountsTable:
             raise ConfigError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
         try:
             current = float(row[0])
-            coord = float(row[1]) / scale
+            coord = plan_coords[row[1]] if row[1] in plan_coords else float(row[1]) / scale
             channel = int(row[2])
             count = int(row[3])
         except ValueError as exc:
@@ -326,10 +331,4 @@ def read_counts_csv(path) -> CountsTable:
     widths = {len(r.counts) for r in records}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent channel counts across points: {sorted(widths)}")
-
-    sidecar = path.with_suffix(".meta.json")
-    metadata = None
-    if sidecar.exists():
-        with sidecar.open() as fh:
-            metadata = json.load(fh)
     return CountsTable(records=tuple(records), scan_kind=kind, metadata=metadata)

@@ -11,7 +11,8 @@ accumulated at the elements (spin-phase coil, flipper transfer phases),
 flippers, and ``Omega_b`` the accumulated energy offsets ``+- omega``.
 
 Position-space intensities are evaluated by direct trapezoidal quadrature of
-the oscillatory integral.  The dispersion relation is linearized about k0,
+the oscillatory integral, as one complex matrix-vector product over a window
+of planes.  The dispersion relation is linearized about k0,
 ``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``: the dropped
 quadratic term is common to both spin branches, so every relative phase,
 every branch separation and every contrast value is unaffected, while the
@@ -20,7 +21,9 @@ width instead of chromatically spreading; interference physics is measured
 against the intrinsic coherence length, which is exactly the comparison the
 envelope makes.)  A resolution guard raises rather than return an aliased
 quadrature whenever the factored integrand phase advances by more than pi/4
-between adjacent grid samples.
+between adjacent grid samples.  That phase is affine in z for every k, so
+over a window of planes its largest step is reached at one of the two end
+planes; the guard checks those two and gets the verdict of the whole window.
 
 Two detection pictures are exposed:
 
@@ -200,12 +203,11 @@ class PacketState:
     p_down: Array
     omega_up: float
     omega_down: float
-    history: tuple = ()
 
     def norm_squared(self) -> float:
-        """Quadrature-weighted total squared norm over both branches."""
-        dens = (abs(self.weight_up) ** 2 + abs(self.weight_down) ** 2) * self.g**2
-        return float(np.trapezoid(dens, self.k))
+        """Summed branch populations (|w_up|^2 + |w_down|^2) integral |g|^2 dk."""
+        total = float(np.trapezoid(self.g**2, self.k))
+        return (abs(self.weight_up) ** 2 + abs(self.weight_down) ** 2) * total
 
 
 def initial_state(spec: WavePacketSpec) -> PacketState:
@@ -219,7 +221,6 @@ def initial_state(spec: WavePacketSpec) -> PacketState:
         theta_up=zeros, theta_down=zeros.copy(),
         p_up=zeros.copy(), p_down=zeros.copy(),
         omega_up=0.0, omega_down=0.0,
-        history=("source",),
     )
 
 
@@ -240,7 +241,6 @@ def apply_spin_phase_k(state: PacketState, field_integral: float) -> PacketState
         state,
         theta_up=state.theta_up - alpha_k / 2.0,
         theta_down=state.theta_down + alpha_k / 2.0,
-        history=state.history + (("spin_phase_coil", field_integral),),
     )
 
 
@@ -268,7 +268,6 @@ def apply_rf_flipper(state: PacketState, omega: float, z_flipper: float) -> Pack
         p_down=state.p_up - dp,
         omega_up=state.omega_down + omega,
         omega_down=state.omega_up - omega,
-        history=state.history + (("rf_flipper", omega, z_flipper),),
     )
 
 
@@ -292,27 +291,40 @@ def _guard(phase: Array, label: str) -> None:
         )
 
 
-def _z_column(z, t: float) -> Array:
+def _z_values(z, t: float) -> Array:
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(z_arr)) or not math.isfinite(t):
         raise ValueError("z and t must be finite")
-    return z_arr[:, None]
+    return z_arr
+
+
+def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
+                u: Array, label: str) -> Array:
+    """Trapezoid integral of amp e^{i(offset + slope u)} dk at each u; guarded at u's ends."""
+    _guard(offset + slope * np.array([[u.min()], [u.max()]]), label)
+    half = np.diff(state.k) / 2.0
+    phasor = np.zeros((u.size, state.k.size), dtype=complex)
+    np.multiply.outer(u, slope, out=phasor.imag)
+    phasor.imag += offset
+    np.exp(phasor, out=phasor)
+    # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
+    return np.einsum("zk,k->z", phasor, amp * (np.r_[half, 0.0] + np.r_[0.0, half]))
 
 
 def _branch_fields(state: PacketState, z, t: float) -> tuple[Array, Array]:
     """Snapshot complex fields (up, down) at positions z; z scalar or 1-d."""
-    zcol = _z_column(z, t)
-    v = state.spec.velocity
+    # theta + p z + (k - k0)(z - v t) in the small packet-frame u = z - v t;
+    # expanding (p + k - k0) z instead would cancel terms of up to ~5e7 rad.
+    v_t = state.spec.velocity * t
+    u = _z_values(z, t) - v_t
+    dk = state.k - state.spec.k0
     fields = []
     for wgt, theta, p, om, label in (
         (state.weight_up, state.theta_up, state.p_up, state.omega_up, "up"),
         (state.weight_down, state.theta_down, state.p_down, state.omega_down, "down"),
     ):
-        phase = theta + p * zcol + (state.k - state.spec.k0) * (zcol - v * t)
-        _guard(phase, label)
-        scalar = wgt * np.exp(-1j * om * t)
-        amp = np.trapezoid(state.g * np.exp(1j * phase), state.k, axis=-1)
-        fields.append(scalar * amp)
+        amp = _k_integral(state, state.g, theta + p * v_t, p + dk, u, label)
+        fields.append(wgt * np.exp(-1j * om * t) * amp)
     return fields[0], fields[1]
 
 
@@ -348,23 +360,15 @@ def position_intensity(state: PacketState, z, t: float,
     return _combine(up, down, spin_projection)
 
 
-def _populations(state: PacketState) -> float:
-    """Summed branch populations (|w_up|^2 + |w_down|^2) integral |g|^2 dk."""
-    total = float(np.trapezoid(state.g**2, state.k))
-    return (abs(state.weight_up) ** 2 + abs(state.weight_down) ** 2) * total
+def _cross_term(state: PacketState, z: Array) -> Array:
+    """|g|^2-weighted integral of the branch-relative phasor at each plane of ``z``.
 
-
-def _cross_term(state: PacketState, zcol: Array) -> Array:
-    """|g|^2-weighted integral of the branch-relative phasor at each plane of ``zcol``.
-
-    This is the time-independent factor of the analyzer's interference term;
-    the resolution guard runs on the relative phase before it is integrated.
+    This is the time-independent factor of the analyzer's interference term.
+    The relative phase is affine in z, so the resolution guard checks the
+    two end planes of the window, where its k step is largest.
     """
-    relative_phase = (
-        state.theta_down - state.theta_up + (state.p_down - state.p_up) * zcol
-    )
-    _guard(relative_phase, "relative")
-    return np.trapezoid(state.g**2 * np.exp(1j * relative_phase), state.k, axis=-1)
+    return _k_integral(state, state.g**2, state.theta_down - state.theta_up,
+                       state.p_down - state.p_up, z, "relative")
 
 
 def detected_intensity(state: PacketState, z, t: float,
@@ -377,14 +381,14 @@ def detected_intensity(state: PacketState, z, t: float,
     Without a ``spin_projection`` the beam shows no modulation at all and
     the branch populations are simply summed.
     """
-    zcol = _z_column(z, t)
-    populations = _populations(state)
+    z = _z_values(z, t)
+    populations = state.norm_squared()
     if spin_projection is None:
-        out = np.full(zcol.shape[0], populations)
+        out = np.full(z.size, populations)
         return out if out.size > 1 else float(out[0])
     if not math.isfinite(spin_projection):
         raise ValueError("spin projection angle must be finite")
-    cross = _cross_term(state, zcol)
+    cross = _cross_term(state, z)
     beat = (
         np.conj(state.weight_up)
         * state.weight_down
@@ -426,8 +430,8 @@ def contrast_envelope(cfg: BeamlineConfig, spec: WavePacketSpec,
         return []
     focus = cfg.l1 + focusing_distance(cfg, 0.0)
     state = pipeline_packet_state(cfg, spec)
-    cross = _cross_term(state, _z_column(focus + np.array(deltas), 0.0))
-    weight = 2.0 * abs(state.weight_up * state.weight_down) / _populations(state)
+    cross = _cross_term(state, _z_values(focus + np.array(deltas), 0.0))
+    weight = 2.0 * abs(state.weight_up * state.weight_down) / state.norm_squared()
     return list(zip(deltas, (weight * np.abs(cross)).tolist()))
 
 

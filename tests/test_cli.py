@@ -253,6 +253,27 @@ def test_witness_on_empty_csv_exits_2(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sidecar, fragment", [
+    ('{"format_version": 1, "plan": {', "counts.meta.json:1:"),
+    ("[1, 2]", "counts.meta.json: expected an object, got list"),
+], ids=["truncated", "not-an-object"])
+def test_witness_on_corrupt_sidecar_exits_2(tmp_path, capsys, sidecar, fragment):
+    counts = run_simulate(tmp_path)
+    counts.with_suffix(".meta.json").write_text(sidecar)
+    capsys.readouterr()
+    code = main(["witness", "--counts", str(counts)])
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_witness_on_non_utf8_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    code = main(["witness", "--counts", str(path), "--config", str(write_config(tmp_path))])
+    assert code == 2
+    assert "counts.csv" in capsys.readouterr().err
+
+
 def test_witness_on_zero_counts_exits_4(tmp_path, capsys):
     path = tmp_path / "zeros.csv"
     rows = ["current_A,delta_mm,channel,counts"]

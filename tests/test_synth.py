@@ -23,6 +23,7 @@ from miezesim import (
     normalize,
     read_counts_csv,
     simulate_scan,
+    single_channel_points,
     spec_from_beamline,
     spin_phase,
     write_counts_csv,
@@ -152,6 +153,23 @@ def test_expected_means_detuning_law():
         expected = 0.5 * plan.counts_scale * (1.0 + CFG.contrast * np.cos(phase))
         means = expected_channel_means(CFG, plan, -0.94, detuning)
         assert np.allclose(means, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("plan", [
+    ScanPlan(currents=(-0.94, -0.9), offsets=(-0.02, 0.005), counts_scale=5000.0,
+             background_rate=4.0, phase_offset=0.8),
+    ScanPlan(currents=(-0.94, -0.9), detunings=(-300.0, 800.0), counts_scale=5000.0,
+             background_rate=4.0, phase_offset=-1.3),
+], ids=["offset", "detuning"])
+def test_analysis_phases_reproduce_simulated_means(plan):
+    records = simulate_scan(CFG, plan)
+    for channel in (0, 5):
+        points = single_channel_points(CFG, records, channel=channel, scan_kind=plan.scan_kind)
+        for rec, (phase, _, _) in zip(records, points):
+            mean = plan.background_rate + 0.5 * plan.counts_scale * (
+                1.0 + CFG.contrast * math.cos(phase + plan.phase_offset))
+            want = expected_channel_means(CFG, plan, rec.current, rec.coord)[channel]
+            assert math.isclose(mean, want, rel_tol=1e-9)
 
 
 def test_expected_means_rejects_unknown_coordinate():
@@ -389,6 +407,18 @@ def test_csv_reads_without_sidecar(tmp_path):
     table = read_counts_csv(path)
     assert list(table.records) == records
     assert table.metadata is None
+
+
+def test_csv_offsets_round_trip_exactly_through_the_sidecar_plan(tmp_path):
+    # 0.004635 m is written as 4.6349999999999998 mm, which reads back 1 ulp low.
+    assert float(f"{0.004635 * 1e3:.17g}") / 1e3 != 0.004635
+    plan = ScanPlan(currents=(-0.94,), offsets=(0.004635, -0.0123), counts_scale=500.0)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(path, simulate_scan(CFG, plan), plan)
+    table = read_counts_csv(path)
+    assert [rec.coord for rec in table.records] == [0.004635, -0.0123]
+    for rec in table.records:
+        expected_channel_means(CFG, plan, rec.current, rec.coord)
 
 
 @pytest.mark.parametrize(

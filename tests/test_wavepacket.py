@@ -1,6 +1,7 @@
 """k-space packet engine: shapes, phase maps, peaks, envelope, coherence."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -359,6 +360,90 @@ def test_resolution_guard_raises_instead_of_aliasing():
     t = (CFG.l1 + CFG.l2) / CFG.velocity
     with pytest.raises(ResolutionError):
         position_intensity(state, CFG.velocity * t + 1.0, t)
+
+
+# ---------------------------------------------------------------------------
+# k-space quadrature against the full-grid trapezoid
+
+
+def full_grid_fields(state, z, t):
+    """Branch fields from a full Z x K trapezoid of g e^{i(theta + p z + (k - k0)(z - v t))}."""
+    zcol = np.asarray(z, dtype=float)[:, None]
+    v = state.spec.velocity
+    fields = []
+    for w, theta, p, om in (
+        (state.weight_up, state.theta_up, state.p_up, state.omega_up),
+        (state.weight_down, state.theta_down, state.p_down, state.omega_down),
+    ):
+        phase = theta + p * zcol + (state.k - state.spec.k0) * (zcol - v * t)
+        amp = np.trapezoid(state.g * np.exp(1j * phase), state.k, axis=-1)
+        fields.append(w * np.exp(-1j * om * t) * amp)
+    return fields
+
+
+def criterion_6_setup():
+    cfg = load_preset("cg4b-10khz").beamline
+    spec = WavePacketSpec(shape="gaussian", k0=cfg.k0, bandwidth=0.002, kappa=1.0,
+                          n_samples=4096, half_span=6.0)
+    stages = [initial_state(spec)]
+    stages.append(apply_spin_phase_k(stages[-1], 0.94 * cfg.coil_cal))
+    stages.append(apply_rf_flipper(stages[-1], cfg.omega1, 0.0))
+    stages.append(apply_rf_flipper(stages[-1], cfg.omega2, cfg.l1))
+    v = cfg.velocity
+    focus = cfg.l1 + focusing_distance(cfg)
+    times = [1e-5, cfg.l1 / v, (cfg.l1 + 0.3) / v, focus / v]
+    return stages, times
+
+
+def test_quadrature_matches_full_grid_trapezoid():
+    stages, times = criterion_6_setup()
+    for state in stages:
+        for t in times:
+            z_up, z_down = stationary_peak_positions(state, t)
+            center = 0.5 * (z_up + z_down)
+            z = np.linspace(center - 2e-7, center + 2e-7, 101)
+            up, down = full_grid_fields(state, z, t)
+            i_up, i_down = branch_intensities(state, z, t)
+            np.testing.assert_allclose(i_up, np.abs(up) ** 2, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(i_down, np.abs(down) ** 2, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(position_intensity(state, z, t),
+                                       np.abs(up) ** 2 + np.abs(down) ** 2, rtol=1e-12, atol=0)
+            projected = np.abs(up + np.exp(-0.7j) * down) ** 2 / 2.0
+            np.testing.assert_allclose(position_intensity(state, z, t, spin_projection=0.7),
+                                       projected, rtol=1e-12, atol=0)
+
+
+def test_resolution_guard_checks_the_window_ends():
+    state = pipeline_packet_state(CFG, SPEC)
+    t = (CFG.l1 + CFG.l2) / CFG.velocity
+    center = CFG.velocity * t
+    z = np.array([center - 1e-7, center, center + 1.0])
+    branch_intensities(state, z[:-1], t)
+    with pytest.raises(ResolutionError):
+        branch_intensities(state, z, t)
+
+    state = pipeline_packet_state(RESEDA, RSPEC)
+    focus = RESEDA.l1 + focusing_distance(RESEDA)
+    z = np.array([focus, focus + 0.3, focus + 1000.0])
+    detected_intensity(state, z[:-1], 0.0, spin_projection=0.0)
+    with pytest.raises(ResolutionError):
+        detected_intensity(state, z, 0.0, spin_projection=0.0)
+
+
+def test_transport_grid_peak_memory_is_one_phasor_array():
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    z_up, z_down = stationary_peak_positions(state, t)
+    center = 0.5 * (z_up + z_down)
+    z = np.linspace(center - 2e-7, center + 2e-7, 1201)
+    one_array = z.size * state.k.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        branch_intensities(state, z, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * one_array
 
 
 def test_coherence_check_limits():
