@@ -15,196 +15,21 @@ Layers:
 * :mod:`miezesim.config` / :mod:`miezesim.cli` — run configs and subcommands.
 """
 
-from .analysis import (
-    AnalysisReport,
-    BootstrapResult,
-    FitResult,
-    PointSample,
-    WitnessResult,
-    analyze_records,
-    bootstrap_uncertainty,
-    channel_fits_witness,
-    counts_witness,
-    expectation_grid,
-    fit_global,
-    fit_time_series,
-    single_channel_points,
-    witness,
-    witness_from_contrast,
-    witness_from_fit,
-)
-from .beamline import (
-    PIPELINE_STAGES,
-    BeamlineConfig,
-    current_for_spin_phase,
-    energy_phase,
-    energy_phase_detuning,
-    evolve_pipeline,
-    focusing_distance,
-    ideal_intensity,
-    mieze_frequency,
-    offset_for_energy_phase,
-    spin_phase,
-)
-from .config import (
-    PRESETS,
-    RunConfig,
-    config_echo,
-    load_preset,
-    load_run_config,
-    parse_run_config,
-    preset_text,
-)
-from .constants import CODATA2018, PhysicalConstants
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DiagnosticError,
-    FitError,
-    MiezesimError,
-    PhysicsError,
-    ResolutionError,
-)
-from .quantum import (
-    CLASSICAL_BOUND,
-    TSIRELSON_BOUND,
-    ObservableAngle,
-    SpinEnergyState,
-    Subsystem,
-    WitnessSettings,
-    bell_state,
-    chsh_value,
-    classify,
-    expectation_from_counts,
-    joint_expectation,
-    observable,
-    optimal_settings,
-    product_state,
-    projector,
-)
-from .synth import (
-    CountsRecord,
-    CountsTable,
-    ScanPlan,
-    expected_channel_means,
-    normalize,
-    read_counts_csv,
-    simulate_scan,
-    write_counts_csv,
-)
-from .wavepacket import (
-    CoherenceCheck,
-    PacketShape,
-    PacketState,
-    WavePacketSpec,
-    apply_rf_flipper,
-    apply_spin_phase_k,
-    branch_intensities,
-    coherence_check,
-    coherence_length,
-    contrast_envelope,
-    detected_intensity,
-    initial_state,
-    k_distribution,
-    pipeline_packet_state,
-    position_intensity,
-    spec_from_beamline,
-    stationary_peak_positions,
-)
+from . import analysis, beamline, config, constants, errors, quantum, synth, wavepacket
+from .analysis import *  # noqa: F403
+from .beamline import *  # noqa: F403
+from .config import *  # noqa: F403
+from .constants import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .quantum import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .wavepacket import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # constants
-    "CODATA2018",
-    "PhysicalConstants",
-    # errors
-    "MiezesimError",
-    "ConfigError",
-    "PhysicsError",
-    "ResolutionError",
-    "FitError",
-    "DegenerateDataError",
-    "DiagnosticError",
-    # quantum
-    "CLASSICAL_BOUND",
-    "TSIRELSON_BOUND",
-    "Subsystem",
-    "ObservableAngle",
-    "WitnessSettings",
-    "SpinEnergyState",
-    "bell_state",
-    "product_state",
-    "observable",
-    "projector",
-    "joint_expectation",
-    "chsh_value",
-    "classify",
-    "optimal_settings",
-    "expectation_from_counts",
-    # beamline
-    "BeamlineConfig",
-    "PIPELINE_STAGES",
-    "mieze_frequency",
-    "spin_phase",
-    "current_for_spin_phase",
-    "energy_phase",
-    "offset_for_energy_phase",
-    "energy_phase_detuning",
-    "focusing_distance",
-    "evolve_pipeline",
-    "ideal_intensity",
-    # wavepacket
-    "PacketShape",
-    "WavePacketSpec",
-    "PacketState",
-    "CoherenceCheck",
-    "spec_from_beamline",
-    "k_distribution",
-    "coherence_length",
-    "initial_state",
-    "apply_spin_phase_k",
-    "apply_rf_flipper",
-    "pipeline_packet_state",
-    "branch_intensities",
-    "position_intensity",
-    "detected_intensity",
-    "stationary_peak_positions",
-    "contrast_envelope",
-    "coherence_check",
-    # synth
-    "ScanPlan",
-    "CountsRecord",
-    "CountsTable",
-    "simulate_scan",
-    "expected_channel_means",
-    "normalize",
-    "write_counts_csv",
-    "read_counts_csv",
-    # analysis
-    "FitResult",
-    "WitnessResult",
-    "PointSample",
-    "AnalysisReport",
-    "BootstrapResult",
-    "fit_global",
-    "fit_time_series",
-    "expectation_grid",
-    "witness",
-    "witness_from_fit",
-    "witness_from_contrast",
-    "single_channel_points",
-    "channel_fits_witness",
-    "counts_witness",
-    "analyze_records",
-    "bootstrap_uncertainty",
-    # config
-    "RunConfig",
-    "PRESETS",
-    "load_run_config",
-    "parse_run_config",
-    "config_echo",
-    "load_preset",
-    "preset_text",
+# The public names are those of the layer modules, each listed once, in its module.
+__all__ = ["__version__"] + [
+    name
+    for layer in (constants, errors, quantum, beamline, wavepacket, synth, analysis, config)
+    for name in layer.__all__
 ]

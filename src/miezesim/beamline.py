@@ -21,11 +21,11 @@ The coordinate and phase conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import ConfigError, PhysicsError
 from .quantum import SpinEnergyState
 
@@ -72,7 +72,6 @@ class BeamlineConfig:
     polarizer_eff: float = 0.96
     contrast: float = 1.0
     mean_level: float = 0.5
-    constants: PhysicalConstants = field(default=CODATA2018, repr=False)
 
     def __post_init__(self) -> None:
         def positive(name: str) -> None:
@@ -110,12 +109,12 @@ class BeamlineConfig:
     @property
     def velocity(self) -> float:
         """Nominal neutron velocity h/(m lambda), m/s."""
-        return self.constants.velocity(self.wavelength)
+        return CODATA2018.velocity(self.wavelength)
 
     @property
     def k0(self) -> float:
         """Nominal wavenumber 2 pi / lambda, rad/m."""
-        return self.constants.wavenumber(self.wavelength)
+        return CODATA2018.wavenumber(self.wavelength)
 
 
 def mieze_frequency(cfg: BeamlineConfig) -> float:
@@ -134,14 +133,14 @@ def spin_phase(cfg: BeamlineConfig, current: float) -> float:
     if not math.isfinite(current):
         raise ValueError(f"current must be finite, got {current!r}")
     bl = cfg.coil_cal * current + cfg.guide_bl
-    return cfg.constants.gyromagnetic_ratio * bl / cfg.velocity
+    return CODATA2018.gyromagnetic_ratio * bl / cfg.velocity
 
 
 def current_for_spin_phase(cfg: BeamlineConfig, alpha: float) -> float:
     """Coil current (A) that realizes the requested spin phase (rad)."""
     if cfg.coil_cal == 0.0:
         raise PhysicsError("coil_cal is zero; no current can set the spin phase")
-    bl = alpha * cfg.velocity / cfg.constants.gyromagnetic_ratio
+    bl = alpha * cfg.velocity / CODATA2018.gyromagnetic_ratio
     return (bl - cfg.guide_bl) / cfg.coil_cal
 
 
@@ -199,7 +198,7 @@ def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> 
         raise PhysicsError("f2 must exceed f1; focusing distance diverges")
     if not math.isfinite(coil_field_integral):
         raise ValueError(f"field integral must be finite, got {coil_field_integral!r}")
-    gamma_n = cfg.constants.gyromagnetic_ratio
+    gamma_n = CODATA2018.gyromagnetic_ratio
     l2 = (cfg.omega1 * cfg.l1 - gamma_n * coil_field_integral / 2.0) / (
         cfg.omega2 - cfg.omega1
     )

@@ -25,6 +25,9 @@ from . import __version__
 from .analysis import AnalysisReport, WitnessResult, analyze_records, bootstrap_uncertainty
 from .beamline import focusing_distance, mieze_frequency, spin_phase, energy_phase
 from .config import (
+    _KHZ,
+    _MM,
+    _MT_MM,
     PRESETS,
     RunConfig,
     config_echo,
@@ -32,6 +35,7 @@ from .config import (
     load_run_config,
     parse_run_config,
 )
+from .constants import CODATA2018
 from .errors import (
     ConfigError,
     DiagnosticError,
@@ -39,17 +43,10 @@ from .errors import (
     PhysicsError,
     ResolutionError,
 )
-from .synth import read_counts_csv, simulate_scan, write_counts_csv
+from .synth import _fmt, read_counts_csv, simulate_scan, write_counts_csv
 from .wavepacket import coherence_check, contrast_envelope
 
 __all__ = ["main", "build_parser"]
-
-_MM = 1e-3
-_MT_MM = 1e-6
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _add_config_args(sub: argparse.ArgumentParser, required: bool) -> None:
@@ -121,13 +118,10 @@ def _witness_dict(result: WitnessResult | None) -> dict | None:
 def _report_json(rc: RunConfig, report: AnalysisReport, scan_kind: str,
                  seed, bootstrap) -> dict:
     fit = report.fit
+    echo = config_echo(rc)
     return {
         "tool_version": __version__,
-        "s": report.witness.s,
-        "sigma_s": report.witness.sigma_s,
-        "classification": report.witness.classification,
-        "e_matrix": report.witness.e_matrix.tolist(),
-        "e_sigma": report.witness.e_sigma.tolist(),
+        **_witness_dict(report.witness),
         "contrast": fit.contrast,
         "contrast_sigma": fit.contrast_sigma,
         "fit": {
@@ -146,15 +140,10 @@ def _report_json(rc: RunConfig, report: AnalysisReport, scan_kind: str,
             "resamples": bootstrap.resamples,
             "failures": bootstrap.failures,
         },
-        "settings": {
-            "alpha1_rad": rc.settings.alpha1,
-            "alpha2_rad": rc.settings.alpha2,
-            "gamma1_rad": rc.settings.gamma1,
-            "gamma2_rad": rc.settings.gamma2,
-        },
+        "settings": echo["settings"],
         "scan_kind": scan_kind,
         "seed": seed,
-        "config_echo": config_echo(rc),
+        "config_echo": echo,
     }
 
 
@@ -278,7 +267,7 @@ def cmd_focus(args) -> int:
     l2 = focusing_distance(cfg, coil_field_integral=field_integral)
     l2_free = focusing_distance(cfg)
     delta_omega = cfg.omega2 - cfg.omega1
-    gamma_n = cfg.constants.gyromagnetic_ratio
+    gamma_n = CODATA2018.gyromagnetic_ratio
     # Closed-form derivatives of (w1 L1 - gamma_n BL / 2) / (w2 - w1).
     dl2_dl1 = cfg.omega1 / delta_omega
     dl2_df1 = 2.0 * math.pi * (cfg.l1 * cfg.omega2 - gamma_n * field_integral / 2.0) / delta_omega**2
@@ -290,10 +279,10 @@ def cmd_focus(args) -> int:
         "field_integral_mt_mm": args.field_integral_mt_mm,
         "field_shift_mm": (l2 - l2_free) / _MM,
         "detector_distance_mm": (cfg.l1 + l2) / _MM,
-        "mieze_frequency_khz": mieze_frequency(cfg) / (2.0 * math.pi * 1e3),
+        "mieze_frequency_khz": mieze_frequency(cfg) / (2.0 * math.pi * _KHZ),
         "dl2_dl1_mm_per_mm": dl2_dl1,
-        "dl2_df1_mm_per_khz": dl2_df1 * 1e3 / _MM,
-        "dl2_df2_mm_per_khz": dl2_df2 * 1e3 / _MM,
+        "dl2_df1_mm_per_khz": dl2_df1 * _KHZ / _MM,
+        "dl2_df2_mm_per_khz": dl2_df2 * _KHZ / _MM,
         "dl2_dbl_mm_per_mt_mm": dl2_dbl * _MT_MM / _MM,
         "tool_version": __version__,
     }

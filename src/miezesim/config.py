@@ -4,18 +4,21 @@ Configs are JSON with unit-suffixed key names (``wavelength_nm``, ``l1_mm``,
 ``coil_calibration_mt_mm_per_a``) so a value can never be misread in the
 wrong unit; parsing converts everything to SI immediately.  ``config_echo``
 emits the canonical explicit form (ranges expanded, settings spelled out) and
-``parse_run_config(config_echo(rc))`` reproduces ``rc`` exactly, which is what
-lets every report embed a re-runnable copy of its configuration.
+``parse_run_config(config_echo(rc))`` reproduces a parsed ``rc`` exactly,
+which is what lets every report embed a re-runnable copy of its
+configuration.
 
-Unknown keys are rejected so typos fail loudly instead of silently falling
-back to defaults.
+Each section's keys, units and dataclass fields are described once, by one
+layout table, which drives the key check, the parsing and the echo.  An
+omitted optional key takes the dataclass default.  Unknown keys are rejected
+so typos fail loudly instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -51,12 +54,8 @@ class RunConfig:
     beamline: BeamlineConfig
     packet: WavePacketSpec | None = None
     plan: ScanPlan | None = None
-    settings: WitnessSettings = None
+    settings: WitnessSettings = field(default_factory=optimal_settings)
     output_dir: str = "."
-
-    def __post_init__(self) -> None:
-        if self.settings is None:
-            object.__setattr__(self, "settings", optimal_settings())
 
 
 def _section(data: dict, key: str, required: bool) -> dict | None:
@@ -70,50 +69,44 @@ def _section(data: dict, key: str, required: bool) -> dict | None:
     return value
 
 
-def _check_keys(section: dict, path: str, allowed: set[str]) -> None:
+def _check_keys(section: dict, path: str, allowed) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _number(section: dict, path: str, key: str, default=None) -> float | None:
-    if key not in section:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    value = section[key]
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{where}: {exc}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
-    return float(value)
-
-
-def _integer(section: dict, path: str, key: str, default=None) -> int | None:
-    if key not in section:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
     return value
 
 
-def _value_list(section: dict, path: str, key: str, scale: float,
-                default=None) -> tuple[float, ...] | None:
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+# A section layout is a tuple of rows (config key, dataclass field, reader,
+# unit factor, required).  Config value * factor = SI value; a factor of None
+# leaves the value as read, so integers stay integers.
+_RANGE = (
+    ("start", "start", _number, None, True),
+    ("stop", "stop", _number, None, True),
+    ("step", "step", _number, None, True),
+)
+
+
+def _value_list(value, where: str) -> tuple[float, ...]:
     """A list of numbers, or a {start, stop, step} range (inclusive ends)."""
-    if key not in section:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    value = section[key]
-    where = f"{path}.{key}"
     if isinstance(value, dict):
-        _check_keys(value, where, {"start", "stop", "step"})
-        start = _number(value, where, "start", ...)
-        stop = _number(value, where, "stop", ...)
-        step = _number(value, where, "step", ...)
+        start, stop, step = _read(value, where, _RANGE).values()  # all required, in order
         if step == 0.0:
             raise ConfigError(f"{where}.step: must be nonzero")
         count = (stop - start) / step
@@ -122,126 +115,133 @@ def _value_list(section: dict, path: str, key: str, scale: float,
         n = round(count) + 1
         if not math.isclose(start + (n - 1) * step, stop, rel_tol=0, abs_tol=abs(step) * 1e-6):
             raise ConfigError(f"{where}: step does not evenly divide the range")
-        return tuple((start + i * step) * scale for i in range(n))
+        return tuple(start + i * step for i in range(n))
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where}: expected a non-empty list or a start/stop/step object")
     out = []
     for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not math.isfinite(item):
-            raise ConfigError(f"{where}[{i}]: expected a finite number, got {item!r}")
-        out.append(float(item) * scale)
+        try:
+            out.append(_number(item, f"{where}[{i}]"))
+        except ConfigError:
+            raise ConfigError(f"{where}[{i}]: expected a finite number, got {item!r}") from None
     return tuple(out)
 
 
-_BEAMLINE_KEYS = {
-    "wavelength_nm", "bandwidth_fraction", "f1_khz", "f2_khz", "l1_mm", "l2_mm",
-    "coil_calibration_mt_mm_per_a", "guide_field_integral_mt_mm",
-    "polarizer_efficiency", "contrast", "mean_level",
-}
+def _read(section: dict, path: str, layout: tuple, extra=()) -> dict:
+    """Dataclass keyword arguments, in SI, for the keys present in ``section``.
+
+    An omitted optional key is left out, so the dataclass default applies.
+    ``extra`` names keys the caller reads itself.
+    """
+    _check_keys(section, path, {row[0] for row in layout}.union(extra))
+    kwargs = {}
+    for key, name, reader, factor, required in layout:
+        if key not in section:
+            if required:
+                raise ConfigError(f"{path}.{key}: missing required field")
+            continue
+        value = reader(section[key], f"{path}.{key}")
+        if factor is None:
+            kwargs[name] = value
+        elif isinstance(value, tuple):
+            kwargs[name] = tuple(v * factor for v in value)
+        else:
+            kwargs[name] = value * factor
+    return kwargs
+
+
+def _echo(obj, layout: tuple) -> dict:
+    """The config keys of ``obj``'s fields, in layout order; fields that are None are left out."""
+    out = {}
+    for key, name, _, factor, _ in layout:
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            out[key] = [v if factor is None else v / factor for v in value]
+        elif value is not None:
+            out[key] = value if factor is None else value / factor
+    return out
+
+
+_BEAMLINE = (
+    ("wavelength_nm", "wavelength", _number, _NM, True),
+    ("bandwidth_fraction", "bandwidth", _number, None, True),
+    ("f1_khz", "f1", _number, _KHZ, True),
+    ("f2_khz", "f2", _number, _KHZ, True),
+    ("l1_mm", "l1", _number, _MM, True),
+    ("l2_mm", "l2", _number, _MM, False),
+    ("coil_calibration_mt_mm_per_a", "coil_cal", _number, _MT_MM, True),
+    ("guide_field_integral_mt_mm", "guide_bl", _number, _MT_MM, False),
+    ("polarizer_efficiency", "polarizer_eff", _number, None, False),
+    ("contrast", "contrast", _number, None, False),
+    ("mean_level", "mean_level", _number, None, False),
+)
+
+# The shape key is read by _parse_packet and echoed first.
+_PACKET = (
+    ("kappa", "kappa", _number, None, False),
+    ("n_samples", "n_samples", _integer, None, False),
+    ("half_span", "half_span", _number, None, False),
+)
+
+# Echo order is output order: detunings, None in an offset scan, go last.
+_PLAN = (
+    ("currents_a", "currents", _value_list, None, True),
+    ("offsets_mm", "offsets", _value_list, _MM, False),
+    ("time_channels_per_period", "time_channels_per_period", _integer, None, False),
+    ("counts_scale", "counts_scale", _number, None, False),
+    ("background_rate", "background_rate", _number, None, False),
+    ("phase_offset_rad", "phase_offset", _number, None, False),
+    ("rng_seed", "rng_seed", _integer, None, False),
+    ("detunings_rad_per_s", "detunings", _value_list, None, False),
+)
+
+_SETTINGS = (
+    ("alpha1_rad", "alpha1", _number, None, True),
+    ("alpha2_rad", "alpha2", _number, None, True),
+    ("gamma1_rad", "gamma1", _number, None, True),
+    ("gamma2_rad", "gamma2", _number, None, True),
+)
 
 
 def _parse_beamline(section: dict) -> BeamlineConfig:
-    path = "beamline"
-    _check_keys(section, path, _BEAMLINE_KEYS)
-    wavelength = _number(section, path, "wavelength_nm", ...) * _NM
-    bandwidth = _number(section, path, "bandwidth_fraction", ...)
-    f1 = _number(section, path, "f1_khz", ...) * _KHZ
-    f2 = _number(section, path, "f2_khz", ...) * _KHZ
-    l1 = _number(section, path, "l1_mm", ...) * _MM
-    l2_raw = _number(section, path, "l2_mm", None)
-    coil_cal = _number(section, path, "coil_calibration_mt_mm_per_a", ...) * _MT_MM
-    guide_bl = _number(section, path, "guide_field_integral_mt_mm", 0.0) * _MT_MM
-    kwargs = dict(
-        wavelength=wavelength,
-        bandwidth=bandwidth,
-        f1=f1,
-        f2=f2,
-        l1=l1,
-        coil_cal=coil_cal,
-        guide_bl=guide_bl,
-        polarizer_eff=_number(section, path, "polarizer_efficiency", 0.96),
-        contrast=_number(section, path, "contrast", 1.0),
-        mean_level=_number(section, path, "mean_level", 0.5),
-    )
-    if l2_raw is not None:
-        return BeamlineConfig(l2=l2_raw * _MM, **kwargs)
-    # No detector distance given: place the detector at the focusing point.
+    kwargs = _read(section, "beamline", _BEAMLINE)
+    if "l2" in kwargs:
+        return BeamlineConfig(**kwargs)
+    # No detector distance given: place the detector at the focusing point,
+    # rounded through mm as a given l2_mm is, so that the echo re-parses exactly.
     probe = BeamlineConfig(l2=1.0, **kwargs)
-    return replace(probe, l2=focusing_distance(probe))
-
-
-_PACKET_KEYS = {"shape", "kappa", "n_samples", "half_span"}
+    return replace(probe, l2=focusing_distance(probe) / _MM * _MM)
 
 
 def _parse_packet(section: dict, beamline: BeamlineConfig) -> WavePacketSpec:
     path = "packet"
-    _check_keys(section, path, _PACKET_KEYS)
-    shape = section.get("shape", "gaussian")
-    if not isinstance(shape, str):
-        raise ConfigError(f"{path}.shape: expected a string, got {shape!r}")
-    try:
-        shape = PacketShape(shape)
-    except ValueError:
-        choices = ", ".join(s.value for s in PacketShape)
-        raise ConfigError(f"{path}.shape: must be one of {choices}, got {shape!r}") from None
-    kwargs = dict(
-        shape=shape,
-        k0=beamline.k0,
-        bandwidth=beamline.bandwidth,
-        kappa=_number(section, path, "kappa", 1.0),
-        n_samples=_integer(section, path, "n_samples", 4096),
-    )
-    half_span = _number(section, path, "half_span", None)
-    if half_span is not None:
-        kwargs["half_span"] = half_span
-    return WavePacketSpec(**kwargs)
+    kwargs = _read(section, path, _PACKET, extra={"shape"})
+    if "shape" in section:
+        shape = section["shape"]
+        if not isinstance(shape, str):
+            raise ConfigError(f"{path}.shape: expected a string, got {shape!r}")
+        try:
+            kwargs["shape"] = PacketShape(shape)
+        except ValueError:
+            choices = ", ".join(s.value for s in PacketShape)
+            raise ConfigError(f"{path}.shape: must be one of {choices}, got {shape!r}") from None
+    return WavePacketSpec(k0=beamline.k0, bandwidth=beamline.bandwidth, **kwargs)
 
 
-_PLAN_KEYS = {
-    "currents_a", "offsets_mm", "detunings_rad_per_s", "time_channels_per_period",
-    "counts_scale", "background_rate", "phase_offset_rad", "rng_seed",
-}
-
-
-def _parse_plan(section: dict) -> ScanPlan:
-    path = "plan"
-    _check_keys(section, path, _PLAN_KEYS)
-    return ScanPlan(
-        currents=_value_list(section, path, "currents_a", 1.0, ...),
-        offsets=_value_list(section, path, "offsets_mm", _MM, (0.0,)),
-        detunings=_value_list(section, path, "detunings_rad_per_s", 1.0, None),
-        time_channels_per_period=_integer(section, path, "time_channels_per_period", 16),
-        counts_scale=_number(section, path, "counts_scale", 8600.0),
-        background_rate=_number(section, path, "background_rate", 0.0),
-        phase_offset=_number(section, path, "phase_offset_rad", 0.0),
-        rng_seed=_integer(section, path, "rng_seed", 0),
-    )
-
-
-_SETTINGS_KEYS = {"optimal", "alpha1_rad", "alpha2_rad", "gamma1_rad", "gamma2_rad"}
-
-
-def _parse_settings(section: dict | None) -> WitnessSettings:
-    if section is None:
-        return optimal_settings()
+def _parse_settings(section: dict) -> WitnessSettings:
     path = "settings"
-    _check_keys(section, path, _SETTINGS_KEYS)
+    _check_keys(section, path, {"optimal"}.union(row[0] for row in _SETTINGS))
     use_optimal = section.get("optimal", False)
     if not isinstance(use_optimal, bool):
         raise ConfigError(f"{path}.optimal: expected a boolean, got {use_optimal!r}")
-    if use_optimal:
-        extras = set(section) - {"optimal", "alpha1_rad"}
-        if extras:
-            raise ConfigError(
-                f"{path}: optimal settings take only alpha1_rad, not {sorted(extras)}"
-            )
-        return optimal_settings(_number(section, path, "alpha1_rad", 0.0))
-    return WitnessSettings(
-        alpha1=_number(section, path, "alpha1_rad", ...),
-        alpha2=_number(section, path, "alpha2_rad", ...),
-        gamma1=_number(section, path, "gamma1_rad", ...),
-        gamma2=_number(section, path, "gamma2_rad", ...),
-    )
+    if not use_optimal:
+        return WitnessSettings(**_read(section, path, _SETTINGS, extra={"optimal"}))
+    extras = set(section) - {"optimal", "alpha1_rad"}
+    if extras:
+        raise ConfigError(f"{path}: optimal settings take only alpha1_rad, not {sorted(extras)}")
+    if "alpha1_rad" in section:
+        return optimal_settings(_number(section["alpha1_rad"], f"{path}.alpha1_rad"))
+    return optimal_settings()
 
 
 _TOP_KEYS = {"beamline", "packet", "plan", "settings", "output_dir"}
@@ -253,31 +253,35 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     _check_keys(data, "config", _TOP_KEYS)
     beamline = _parse_beamline(_section(data, "beamline", required=True))
-    packet_section = _section(data, "packet", required=False)
-    packet = None if packet_section is None else _parse_packet(packet_section, beamline)
-    plan_section = _section(data, "plan", required=False)
-    plan = None if plan_section is None else _parse_plan(plan_section)
-    settings = _parse_settings(_section(data, "settings", required=False))
-    output_dir = data.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
-    return RunConfig(
-        beamline=beamline, packet=packet, plan=plan, settings=settings,
-        output_dir=output_dir,
-    )
+    kwargs: dict = {"beamline": beamline}
+    packet = _section(data, "packet", required=False)
+    if packet is not None:
+        kwargs["packet"] = _parse_packet(packet, beamline)
+    plan = _section(data, "plan", required=False)
+    if plan is not None:
+        kwargs["plan"] = ScanPlan(**_read(plan, "plan", _PLAN))
+    settings = _section(data, "settings", required=False)
+    if settings is not None:
+        kwargs["settings"] = _parse_settings(settings)
+    if "output_dir" in data:
+        output_dir = data["output_dir"]
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
+        kwargs["output_dir"] = output_dir
+    return RunConfig(**kwargs)
 
 
 def load_run_config(path) -> RunConfig:
     """Parse and validate a JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable bytes, an integer too long to convert
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         return parse_run_config(data)
     except ConfigError as exc:
@@ -285,48 +289,20 @@ def load_run_config(path) -> RunConfig:
 
 
 def config_echo(rc: RunConfig) -> dict:
-    """Canonical JSON-ready form of a RunConfig; parse_run_config inverts it."""
-    out: dict = {
-        "beamline": {
-            "wavelength_nm": rc.beamline.wavelength / _NM,
-            "bandwidth_fraction": rc.beamline.bandwidth,
-            "f1_khz": rc.beamline.f1 / _KHZ,
-            "f2_khz": rc.beamline.f2 / _KHZ,
-            "l1_mm": rc.beamline.l1 / _MM,
-            "l2_mm": rc.beamline.l2 / _MM,
-            "coil_calibration_mt_mm_per_a": rc.beamline.coil_cal / _MT_MM,
-            "guide_field_integral_mt_mm": rc.beamline.guide_bl / _MT_MM,
-            "polarizer_efficiency": rc.beamline.polarizer_eff,
-            "contrast": rc.beamline.contrast,
-            "mean_level": rc.beamline.mean_level,
-        }
-    }
+    """Canonical JSON-ready form of a RunConfig; parse_run_config inverts it.
+
+    Every key is spelled out, defaults included, and ranges are expanded.
+    The round trip is exact for a config parsed from JSON, as presets and
+    --config files are.  For a RunConfig built in SI by library code, a value
+    echoed in mm (l1, l2, offsets) can re-parse one ulp away, because
+    (x / 1e-3) * 1e-3 need not give back x.
+    """
+    out: dict = {"beamline": _echo(rc.beamline, _BEAMLINE)}
     if rc.packet is not None:
-        out["packet"] = {
-            "shape": rc.packet.shape.value,
-            "kappa": rc.packet.kappa,
-            "n_samples": rc.packet.n_samples,
-            "half_span": rc.packet.half_span,
-        }
+        out["packet"] = {"shape": rc.packet.shape.value, **_echo(rc.packet, _PACKET)}
     if rc.plan is not None:
-        plan: dict = {
-            "currents_a": list(rc.plan.currents),
-            "offsets_mm": [v / _MM for v in rc.plan.offsets],
-            "time_channels_per_period": rc.plan.time_channels_per_period,
-            "counts_scale": rc.plan.counts_scale,
-            "background_rate": rc.plan.background_rate,
-            "phase_offset_rad": rc.plan.phase_offset,
-            "rng_seed": rc.plan.rng_seed,
-        }
-        if rc.plan.detunings is not None:
-            plan["detunings_rad_per_s"] = list(rc.plan.detunings)
-        out["plan"] = plan
-    out["settings"] = {
-        "alpha1_rad": rc.settings.alpha1,
-        "alpha2_rad": rc.settings.alpha2,
-        "gamma1_rad": rc.settings.gamma1,
-        "gamma2_rad": rc.settings.gamma2,
-    }
+        out["plan"] = _echo(rc.plan, _PLAN)
+    out["settings"] = _echo(rc.settings, _SETTINGS)
     out["output_dir"] = rc.output_dir
     return out
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["CODATA2018", "PhysicalConstants"]
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:

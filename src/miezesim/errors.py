@@ -6,6 +6,16 @@ base class to handle anything raised by miezesim itself.
 
 from __future__ import annotations
 
+__all__ = [
+    "MiezesimError",
+    "ConfigError",
+    "PhysicsError",
+    "ResolutionError",
+    "FitError",
+    "DegenerateDataError",
+    "DiagnosticError",
+]
+
 
 class MiezesimError(Exception):
     """Base class for all errors raised by this package."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -242,16 +242,7 @@ def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
     payload = {
         "format_version": 1,
         "scan_kind": kind,
-        "plan": {
-            "currents": list(plan.currents),
-            "offsets": list(plan.offsets),
-            "detunings": None if plan.detunings is None else list(plan.detunings),
-            "time_channels_per_period": plan.time_channels_per_period,
-            "counts_scale": plan.counts_scale,
-            "background_rate": plan.background_rate,
-            "phase_offset": plan.phase_offset,
-            "rng_seed": plan.rng_seed,
-        },
+        "plan": asdict(plan),
     }
     payload.update(metadata or {})
     with sidecar.open("w") as fh:

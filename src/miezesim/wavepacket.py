@@ -328,24 +328,15 @@ def _branch_fields(state: PacketState, z, t: float) -> tuple[Array, Array]:
     return fields[0], fields[1]
 
 
-def _combine(up: Array, down: Array, spin_projection: float | None):
-    if spin_projection is None:
-        out = np.abs(up) ** 2 + np.abs(down) ** 2
-    else:
-        if not math.isfinite(spin_projection):
-            raise ValueError("spin projection angle must be finite")
-        amp = (up + np.exp(-1j * spin_projection) * down) / math.sqrt(2.0)
-        out = np.abs(amp) ** 2
-    return out if out.size > 1 else float(out[0])
+def _shaped_like(z, out: Array):
+    """``out`` for an array ``z``; its single value as a float for a scalar ``z``."""
+    return out if np.ndim(z) else float(out[0])
 
 
 def branch_intensities(state: PacketState, z, t: float):
     """Snapshot |psi_up|^2 and |psi_down|^2 at (z, t); z scalar or array."""
     up, down = _branch_fields(state, z, t)
-    i_up, i_down = np.abs(up) ** 2, np.abs(down) ** 2
-    if i_up.size == 1:
-        return float(i_up[0]), float(i_down[0])
-    return i_up, i_down
+    return _shaped_like(z, np.abs(up) ** 2), _shaped_like(z, np.abs(down) ** 2)
 
 
 def position_intensity(state: PacketState, z, t: float,
@@ -357,7 +348,12 @@ def position_intensity(state: PacketState, z, t: float,
     two branch intensities are summed.
     """
     up, down = _branch_fields(state, z, t)
-    return _combine(up, down, spin_projection)
+    if spin_projection is None:
+        return _shaped_like(z, np.abs(up) ** 2 + np.abs(down) ** 2)
+    if not math.isfinite(spin_projection):
+        raise ValueError("spin projection angle must be finite")
+    amp = (up + np.exp(-1j * spin_projection) * down) / math.sqrt(2.0)
+    return _shaped_like(z, np.abs(amp) ** 2)
 
 
 def _cross_term(state: PacketState, z: Array) -> Array:
@@ -381,21 +377,19 @@ def detected_intensity(state: PacketState, z, t: float,
     Without a ``spin_projection`` the beam shows no modulation at all and
     the branch populations are simply summed.
     """
-    z = _z_values(z, t)
+    z_arr = _z_values(z, t)
     populations = state.norm_squared()
     if spin_projection is None:
-        out = np.full(z.size, populations)
-        return out if out.size > 1 else float(out[0])
+        return _shaped_like(z, np.full(z_arr.size, populations))
     if not math.isfinite(spin_projection):
         raise ValueError("spin projection angle must be finite")
-    cross = _cross_term(state, z)
+    cross = _cross_term(state, z_arr)
     beat = (
         np.conj(state.weight_up)
         * state.weight_down
         * np.exp(-1j * ((state.omega_down - state.omega_up) * t + spin_projection))
     )
-    out = 0.5 * populations + np.real(beat * cross)
-    return out if out.size > 1 else float(out[0])
+    return _shaped_like(z, 0.5 * populations + np.real(beat * cross))
 
 
 def stationary_peak_positions(state: PacketState, t: float) -> tuple[float, float]:

@@ -401,3 +401,27 @@ def test_focus_shift_matches_sensitivity_slope(capsys):
         report["dl2_dbl_mm_per_mt_mm"] * 25.0,
         rel_tol=1e-9,
     )
+
+
+# ---------------------------------------------------------------------------
+# config files that cannot be read as JSON numbers and text
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(SMALL_CONFIG).encode("utf-16-le"))
+    code = main(["focus", "--config", str(path)])
+    assert code == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "beyond-int-parse"])
+def test_huge_integer_in_config_exits_2(tmp_path, capsys, digits):
+    # 400 digits parse as a Python int but overflow a float; 5000 digits
+    # exceed the interpreter's integer-string limit inside json.loads.
+    text = json.dumps(SMALL_CONFIG).replace('"f1_khz": 45', '"f1_khz": 4' + "5" * (digits - 1))
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    code = main(["focus", "--config", str(path)])
+    assert code == 2
+    assert f"error: {path}: " in capsys.readouterr().err

@@ -324,3 +324,86 @@ def test_preset_text_round_trips():
     assert load_preset("cg4b-10khz") == parse_run_config(json.loads(text))
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_text("cg4b")
+
+
+# ---------------------------------------------------------------------------
+# echo layout and the package surface
+
+
+ECHO_KEYS = {
+    "beamline": [
+        "wavelength_nm", "bandwidth_fraction", "f1_khz", "f2_khz", "l1_mm", "l2_mm",
+        "coil_calibration_mt_mm_per_a", "guide_field_integral_mt_mm",
+        "polarizer_efficiency", "contrast", "mean_level",
+    ],
+    "packet": ["shape", "kappa", "n_samples", "half_span"],
+    "plan": [
+        "currents_a", "offsets_mm", "time_channels_per_period", "counts_scale",
+        "background_rate", "phase_offset_rad", "rng_seed",
+    ],
+    "settings": ["alpha1_rad", "alpha2_rad", "gamma1_rad", "gamma2_rad"],
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_echo_key_order_is_pinned(name):
+    # witness.json is written without sort_keys, so the echo's order is its layout.
+    echo = config_echo(load_preset(name))
+    assert list(echo) == ["beamline", "packet", "plan", "settings", "output_dir"]
+    for section, keys in ECHO_KEYS.items():
+        assert list(echo[section]) == keys, section
+    assert isinstance(echo["packet"]["n_samples"], int)
+    assert isinstance(echo["plan"]["time_channels_per_period"], int)
+    assert isinstance(echo["plan"]["rng_seed"], int)
+
+
+def test_echo_puts_detunings_last():
+    data = base_config()
+    data["plan"] = {"currents_a": [-1.0], "detunings_rad_per_s": [0.0, 500.0]}
+    plan = config_echo(parse_run_config(data))["plan"]
+    assert list(plan) == ECHO_KEYS["plan"] + ["detunings_rad_per_s"]
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    from miezesim import RunConfig, ScanPlan, WavePacketSpec
+
+    data = base_config(l2_mm=765)
+    data["packet"] = {}
+    data["plan"] = {"currents_a": [-1.0]}
+    rc = parse_run_config(data)
+    assert rc == RunConfig(
+        beamline=rc.beamline,
+        packet=WavePacketSpec(k0=rc.beamline.k0, bandwidth=rc.beamline.bandwidth),
+        plan=ScanPlan(currents=(-1.0,)),
+    )
+
+
+def test_beamline_has_no_constants_option():
+    from dataclasses import fields
+
+    from miezesim import BeamlineConfig
+
+    assert "constants" not in {f.name for f in fields(BeamlineConfig)}
+
+
+def test_package_exports_every_layer_name():
+    import importlib
+
+    import miezesim
+
+    layers = ("constants", "errors", "quantum", "beamline", "wavepacket", "synth",
+              "analysis", "config")
+    for layer in layers:
+        module = importlib.import_module(f"miezesim.{layer}")
+        for name in module.__all__:
+            assert name in miezesim.__all__, f"{layer}.{name}"
+            assert getattr(miezesim, name) is getattr(module, name)
+    assert len(set(miezesim.__all__)) == len(miezesim.__all__)
+
+
+@pytest.mark.parametrize("f1_khz, f2_khz, l1_mm", [(44, 200, 85), (48, 50, 100), (49, 60, 85)])
+def test_echo_round_trip_is_exact_for_focusing_distance(f1_khz, f2_khz, l1_mm):
+    # With l2_mm omitted, l2 is computed in SI; its mm echo must still re-parse to it.
+    rc = parse_run_config(base_config(f1_khz=f1_khz, f2_khz=f2_khz, l1_mm=l1_mm))
+    assert parse_run_config(json.loads(json.dumps(config_echo(rc)))) == rc
+    assert math.isclose(rc.beamline.l2, focusing_distance(rc.beamline), rel_tol=1e-15)

@@ -481,3 +481,24 @@ def test_coherence_check_violation():
 def test_coherence_check_scales_with_kappa():
     loose = replace(SPEC, kappa=3.0)
     assert coherence_check(0.0, loose).n_limit == 150.0
+
+
+def test_length_one_z_array_returns_an_array():
+    # A scalar z gives floats; any 1-d z, length 1 included, gives arrays.
+    state = pipeline_packet_state(CFG, SPEC)
+    focus = CFG.l1 + focusing_distance(CFG)
+    t = focus / CFG.velocity
+    z = np.array([focus])
+    calls = [
+        lambda zz: detected_intensity(state, zz, t, spin_projection=0.0),
+        lambda zz: detected_intensity(state, zz, t),
+        lambda zz: position_intensity(state, zz, t, spin_projection=0.0),
+        lambda zz: position_intensity(state, zz, t),
+        lambda zz: branch_intensities(state, zz, t)[0],
+        lambda zz: branch_intensities(state, zz, t)[1],
+    ]
+    for call in calls:
+        scalar, array = call(focus), call(z)
+        assert isinstance(scalar, float)
+        assert isinstance(array, np.ndarray) and array.shape == (1,)
+        assert array[0] == scalar
