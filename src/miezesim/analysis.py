@@ -19,16 +19,17 @@ recorded points nearest the requested analyzer settings
 (``counts_witness``).  Agreement between them is a cross-check of the whole
 reduction, so none of them reuses another's fitted numbers.
 
-All fits share one closed-form engine.  The model is linear in
-``(A, B cos phi, -B sin phi)``, so one weighted solve of the
-``[1, cos theta, sin theta]`` normal equations gives the exact optimum; a
-normal matrix that is singular to working precision (too few distinct
-phases) raises ``FitError``.  The amplitude ``B = hypot(c, s)`` is
-non-negative with the sign carried by the phase, and the (A, B, phi)
-covariance is the linear-parameter covariance mapped by the delta method,
-which for ``B > 0`` equals the Gauss-Newton covariance at the optimum.  As
-``B`` tends to zero the phase sigma grows without bound; an amplitude of
-exactly zero leaves the phase undefined and raises ``FitError``.
+All fits share one closed-form engine, which fits a stack of rows in one
+call.  The model is linear in ``(A, B cos phi, -B sin phi)``, so one weighted
+solve of each row's ``[1, cos theta, sin theta]`` normal equations gives the
+exact optimum.  ``B = hypot(c, s)`` is non-negative with the sign carried by
+the phase; the (A, B, phi) covariance is the linear-parameter one mapped by
+the delta method (Gauss-Newton for ``B > 0``), so the phase sigma grows
+without bound as ``B`` tends to zero.  A row fails when its normal matrix is
+singular to working precision (too few distinct phases), its amplitude is
+exactly zero (no phase) or its mean level is not positive.  One-row fits and
+the per-point route raise the first failure as ``FitError``; the bootstrap
+counts failed resamples and drops them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beamline import BeamlineConfig, channel_phase, mieze_frequency, spin_phase
+from .beamline import BeamlineConfig, channel_phase, spin_phase
 from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError
 from .quantum import (
     WitnessSettings,
@@ -70,12 +71,6 @@ __all__ = [
 ]
 
 _SIGN_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def _wrap(phase: float) -> float:
-    """Wrap a phase to (-pi, pi]."""
-    wrapped = math.remainder(phase, 2.0 * math.pi)
-    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -167,33 +162,74 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
     return theta, y, sigma
 
 
-def _fit_cosine(theta: Array, y: Array, sigma: Array) -> FitResult:
-    """Weighted fit of y = A + B cos(theta + phi); see module docstring."""
-    design = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
-    design /= sigma[:, None]
+class _CosineFits(NamedTuple):
+    """Stacked fits named as in ``FitResult``; failed rows hold NaN, ``failures`` says why."""
+
+    mean_level: Array
+    amplitude: Array
+    phase: Array
+    covariance: Array
+    chi_square: Array
+    dof: int
+    failures: dict[int, str]
+
+    def one(self) -> FitResult:
+        """The ``FitResult`` of a one-row fit, or its ``FitError``."""
+        if self.failures:
+            raise FitError(self.failures[0])
+        a, b, phi, chi2 = (float(v[0]) for v in (*self[:3], self.chi_square))
+        return FitResult(a, b, phi, self.covariance[0], chi2, self.dof)
+
+
+def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
+    """Fit y = A + B cos(theta + phi) to each (R, N) row of y, sigma; theta broadcasts."""
+    basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
+    design = basis / sigma[..., None]
     weighted_y = y / sigma
-    normal = design.T @ design
-    if np.linalg.matrix_rank(normal) < 3:
-        raise FitError(
-            "fit design is singular: the phases do not determine a cosine "
-            "(fewer than three distinct phases modulo 2 pi)"
-        )
-    coef = np.linalg.solve(normal, design.T @ weighted_y)
-    a, c, s = (float(v) for v in coef)
-    b = math.hypot(c, s)
-    if b == 0.0:
-        raise FitError("fitted amplitude is exactly zero: the phase is undefined")
-    resid = design @ coef - weighted_y
+    normal = np.einsum("rni,rnj->rij", design, design)
+    singular = np.linalg.matrix_rank(normal) < 3
+    normal[singular] = np.eye(3)  # a solvable stand-in; these rows are reported failed
+    coef = np.linalg.solve(normal, np.einsum("rni,rn->ri", design, weighted_y)[..., None])[..., 0]
+    a, c, s = coef.T
+    b = np.hypot(c, s)
+    failed = singular | (b == 0.0) | ~(a > 0.0)
+    failures = {
+        row: ("fit design is singular: the phases do not determine a cosine "
+              "(fewer than three distinct phases modulo 2 pi)" if singular[row]
+              else "fitted amplitude is exactly zero: the phase is undefined" if b[row] == 0.0
+              else f"fitted mean level must be positive, got {float(a[row])!r}")
+        for row in np.flatnonzero(failed).tolist()
+    }
+    coef[failed] = b[failed] = np.nan
+    resid = np.einsum("rni,ri->rn", design, coef) - weighted_y
+    phase = np.arctan2(-s, c)
+    phase[phase == -math.pi] = math.pi  # wrap to (-pi, pi]
     # (A, c, s) -> (A, B, phi) with c = B cos(phi), s = -B sin(phi)
-    grad = np.array([[1.0, 0.0, 0.0], [0.0, c / b, s / b], [0.0, s / b**2, -c / b**2]])
-    return FitResult(
-        mean_level=a,
-        amplitude=b,
-        phase=_wrap(math.atan2(-s, c)),
-        covariance=grad @ np.linalg.inv(normal) @ grad.T,
-        chi_square=float(resid @ resid),
-        dof=max(theta.size - 3, 0),
-    )
+    grad = np.zeros(normal.shape)
+    grad[:, 0, 0] = 1.0
+    grad[:, 1:, 1:] = np.moveaxis(np.array([[c / b, s / b], [s / b**2, -c / b**2]]), -1, 0)
+    covariance = grad @ np.linalg.inv(normal) @ grad.transpose(0, 2, 1)
+    chi_square = np.einsum("rn,rn->r", resid, resid)
+    return _CosineFits(a, b, phase, covariance, chi_square, max(y.shape[-1] - 3, 0), failures)
+
+
+def _poisson_sigma(counts):
+    return np.sqrt(np.maximum(counts, 1.0))
+
+
+def _fit_channels(counts: Array) -> _CosineFits:
+    """Fit every row of a (P, n) counts table over its channels t_i = i T / n."""
+    n = counts.shape[-1]
+    if n < 4:
+        raise FitError(f"need at least 4 time channels, got {n}")
+    fits = _fit_cosines(2.0 * math.pi * np.arange(n) / n, counts, _poisson_sigma(counts))
+    if fits.failures:
+        # An all-zero row fits to B = 0 exactly, so it is always among the failures.
+        row = min(fits.failures)
+        if not np.any(counts[row] > 0):
+            raise DegenerateDataError("all-zero counts: nothing to fit")
+        raise FitError(fits.failures[row])
+    return fits
 
 
 def fit_global(points) -> FitResult:
@@ -212,7 +248,7 @@ def fit_global(points) -> FitResult:
         raise FitError(
             f"insufficient phase coverage: span {span:.4g} rad, need more than pi"
         )
-    return _fit_cosine(theta, y, sigma)
+    return _fit_cosines(theta, y[None], sigma[None]).one()
 
 
 def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
@@ -223,38 +259,21 @@ def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
     """
     if not (omega_m > 0.0 and math.isfinite(omega_m)):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    counts = np.asarray(record.counts, dtype=float)
-    if counts.size < 4:
-        raise FitError(f"need at least 4 time channels, got {counts.size}")
-    if not np.any(counts > 0):
-        raise DegenerateDataError("all-zero counts: nothing to fit")
-    theta = 2.0 * math.pi * np.arange(counts.size) / counts.size
-    sigma = np.sqrt(np.maximum(counts, 1.0))
-    return _fit_cosine(theta, counts, sigma)
+    return _fit_channels(np.asarray(record.counts, dtype=float)[None]).one()
 
 
-def _setting_pairs(settings: WitnessSettings):
-    alphas = (settings.alpha1, settings.alpha2)
-    gammas = (settings.gamma1, settings.gamma2)
-    return alphas, gammas
-
-
-def _expectation_gradients(fit: FitResult, settings: WitnessSettings):
-    """E matrix, per-element gradients wrt (A, B, phi), per-element sigma."""
-    alphas, gammas = _setting_pairs(settings)
-    a, b, phi = fit.mean_level, fit.amplitude, fit.phase
-    e = np.empty((2, 2))
-    grads = np.empty((2, 2, 3))
-    sig = np.empty((2, 2))
-    for i, alpha in enumerate(alphas):
-        for j, gamma in enumerate(gammas):
-            arg = alpha + gamma + phi
-            c, s = math.cos(arg), math.sin(arg)
-            e[i, j] = (b / a) * c
-            grads[i, j] = (-b * c / a**2, c / a, -(b / a) * s)
-            var = float(grads[i, j] @ fit.covariance @ grads[i, j])
-            sig[i, j] = math.sqrt(max(var, 0.0))
-    return e, grads, sig
+def _expectation_gradients(fit, settings: WitnessSettings):
+    """E matrix, per-element gradients wrt (A, B, phi), per-element sigma; per row if stacked."""
+    a, b, phi = (np.asarray(v)[..., None, None]
+                 for v in (fit.mean_level, fit.amplitude, fit.phase))
+    alphas, gammas = (settings.alpha1, settings.alpha2), (settings.gamma1, settings.gamma2)
+    arg = np.add.outer(alphas, gammas) + phi
+    c, s = np.cos(arg), np.sin(arg)
+    e = (b / a) * c
+    grads = np.stack([-b * c / a**2, c / a, -(b / a) * s], axis=-1)
+    cov = np.asarray(fit.covariance)[..., None, None, :, :]
+    var = np.einsum("...i,...ij,...j->...", grads, cov, grads)
+    return e, grads, np.sqrt(np.maximum(var, 0.0))
 
 
 def expectation_grid(fit: FitResult, settings: WitnessSettings) -> tuple[Array, Array]:
@@ -344,43 +363,33 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
     records = list(records)
     if not records:
         raise ConfigError("no records to analyze")
-    omega_m = mieze_frequency(cfg)
-    contrasts, c_weights = [], []
-    sin_sum = cos_sum = phi_weight = 0.0
-    chi2 = 0.0
-    dof = 0
-    for rec in records:
-        fit = fit_time_series(rec, omega_m)
-        var_c = max(fit.contrast_sigma**2, 1e-300)
-        contrasts.append(fit.contrast)
-        c_weights.append(1.0 / var_c)
-        base = spin_phase(cfg, rec.current) + channel_phase(
-            cfg, scan_kind, rec.coord, 0, len(rec.counts))
-        offset = fit.phase - base
-        var_phi = max(float(fit.covariance[2, 2]), 1e-300)
-        sin_sum += math.sin(offset) / var_phi
-        cos_sum += math.cos(offset) / var_phi
-        phi_weight += 1.0 / var_phi
-        chi2 += fit.chi_square
-        dof += fit.dof
-    c_weights = np.asarray(c_weights)
-    c_hat = float(np.dot(contrasts, c_weights) / c_weights.sum())
+    counts = np.array([rec.counts for rec in records], dtype=float)
+    fits = _fit_channels(counts)
+    n = counts.shape[1]
+    base = np.array([spin_phase(cfg, rec.current) + channel_phase(cfg, scan_kind, rec.coord, 0, n)
+                     for rec in records])
+    a, b = fits.mean_level, fits.amplitude
+    grad = np.stack([-b / a**2, 1.0 / a, np.zeros_like(a)], axis=-1)
+    c_weights = 1.0 / np.maximum(np.einsum("ri,rij,rj->r", grad, fits.covariance, grad), 1e-300)
+    c_hat = float(np.dot(b / a, c_weights) / c_weights.sum())
     sigma_c = math.sqrt(1.0 / c_weights.sum())
-    phi_hat = math.atan2(sin_sum, cos_sum)
-    sigma_phi = math.sqrt(1.0 / phi_weight)
+    offset = fits.phase - base
+    phi_weights = 1.0 / np.maximum(fits.covariance[:, 2, 2], 1e-300)
+    phi_hat = math.atan2(np.dot(np.sin(offset), phi_weights), np.dot(np.cos(offset), phi_weights))
+    sigma_phi = math.sqrt(1.0 / phi_weights.sum())
     pooled = FitResult(
         mean_level=1.0,
         amplitude=max(c_hat, 0.0),
         phase=phi_hat,
         covariance=np.diag([0.0, sigma_c**2, sigma_phi**2]),
-        chi_square=chi2,
-        dof=dof,
+        chi_square=float(fits.chi_square.sum()),
+        dof=fits.dof * len(records),
     )
     return witness_from_fit(pooled, settings), pooled
 
 
 def _wrap_distance(a: float, b: float) -> float:
-    return abs(_wrap(a - b))
+    return abs(math.remainder(a - b, 2.0 * math.pi))
 
 
 def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
@@ -421,11 +430,10 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
                     best = (key, delta, ch)
         return best[1], best[2]
 
-    alphas, gammas = _setting_pairs(settings)
     e = np.empty((2, 2))
     sig = np.empty((2, 2))
-    for i, alpha in enumerate(alphas):
-        for j, gamma in enumerate(gammas):
+    for i, alpha in enumerate((settings.alpha1, settings.alpha2)):
+        for j, gamma in enumerate((settings.gamma1, settings.gamma2)):
             outcome_counts = {}
             for k in (0, 1):
                 current = pick_current(alpha + k * math.pi)
@@ -536,28 +544,20 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     records = list(records)
     base_points = single_channel_points(cfg, records, channel=channel, scan_kind=scan_kind)
-    theta = np.array([p[0] for p in base_points])
-    observed = np.array([p[1] for p in base_points])
-    s_values = []
-    failures = 0
-    for index in range(resamples):
-        rng = _resample_rng(seed, index)
-        counts = rng.poisson(observed).astype(float)
-        sigma = np.sqrt(np.maximum(counts, 1.0))
-        try:
-            fit = _fit_cosine(theta, counts, sigma)
-            s_values.append(witness_from_fit(fit, settings).s)
-        except FitError:
-            failures += 1
+    theta, observed, _ = np.array(base_points).T
+    counts = np.array(
+        [_resample_rng(seed, index).poisson(observed) for index in range(resamples)], dtype=float)
+    fits = _fit_cosines(theta, counts, _poisson_sigma(counts))
+    failures = len(fits.failures)
     if failures > 0.05 * resamples:
         raise DiagnosticError(
             f"{failures}/{resamples} bootstrap refits failed; counts data too degenerate"
         )
-    if len(s_values) < 2:
-        raise DiagnosticError("not enough successful bootstrap refits to estimate sigma_S")
+    e, _, _ = _expectation_gradients(fits, settings)
+    s_values = np.delete(np.sum(_SIGN_MATRIX * e, axis=(-2, -1)), list(fits.failures))
     return BootstrapResult(
         sigma_s=float(np.std(s_values, ddof=1)),
         resamples=resamples,
         failures=failures,
-        s_values=tuple(s_values),
+        s_values=tuple(s_values.tolist()),
     )

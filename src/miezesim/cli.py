@@ -233,13 +233,14 @@ def cmd_envelope(args) -> int:
     else:
         deltas = [(-35.0 + 5.0 * i) * _MM for i in range(15)]
     env = contrast_envelope(rc.beamline, rc.packet, deltas)
+    coherence = _coherence_lines(rc)
     out = _out_dir(args, rc)
     if args.format == "json":
         path = out / "envelope.json"
         payload = {
             "delta_mm": [d / _MM for d, _ in env],
             "contrast": [c for _, c in env],
-            "coherence": _coherence_lines(rc),
+            "coherence": coherence,
             "tool_version": __version__,
         }
         with path.open("w") as fh:
@@ -255,7 +256,7 @@ def cmd_envelope(args) -> int:
     peak_delta, peak = max(env, key=lambda dc: dc[1])
     print(f"wrote contrast at {len(env)} offsets to {path}")
     print(f"peak contrast {peak:.4f} at delta = {peak_delta / _MM:.4f} mm")
-    for line in _coherence_lines(rc):
+    for line in coherence:
         print(line)
     return 0
 

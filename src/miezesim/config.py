@@ -26,7 +26,7 @@ from .beamline import BeamlineConfig, focusing_distance
 from .errors import ConfigError
 from .quantum import WitnessSettings, optimal_settings
 from .synth import ScanPlan
-from .wavepacket import PacketShape, WavePacketSpec
+from .wavepacket import PacketShape, WavePacketSpec, spec_from_beamline
 
 __all__ = [
     "RunConfig",
@@ -225,7 +225,7 @@ def _parse_packet(section: dict, beamline: BeamlineConfig) -> WavePacketSpec:
         except ValueError:
             choices = ", ".join(s.value for s in PacketShape)
             raise ConfigError(f"{path}.shape: must be one of {choices}, got {shape!r}") from None
-    return WavePacketSpec(k0=beamline.k0, bandwidth=beamline.bandwidth, **kwargs)
+    return spec_from_beamline(beamline, **kwargs)
 
 
 def _parse_settings(section: dict) -> WitnessSettings:

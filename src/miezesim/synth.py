@@ -45,6 +45,7 @@ __all__ = [
 INTENSITY_MODELS = ("ideal", "wavepacket")
 
 _MAX_SEED = 2**64
+_MAX_CHANNELS = 2**16
 
 
 def _finite_tuple(values, name: str) -> tuple[float, ...]:
@@ -67,6 +68,7 @@ class ScanPlan:
     scans supply ``detunings`` (rad/s) instead; the offsets are then ignored.
     ``counts_scale`` is N0, the expected max+min counts per point;
     ``background_rate`` is a flat per-channel mean added on top.
+    ``time_channels_per_period`` is an integer from 4 to 2**16.
     """
 
     currents: tuple[float, ...]
@@ -84,8 +86,9 @@ class ScanPlan:
         if self.detunings is not None:
             object.__setattr__(self, "detunings", _finite_tuple(self.detunings, "detunings"))
         n = self.time_channels_per_period
-        if int(n) != n or n < 4:
-            raise ConfigError(f"time_channels_per_period must be an integer >= 4, got {n!r}")
+        if not 4 <= n <= _MAX_CHANNELS or int(n) != n:
+            raise ConfigError(
+                f"time_channels_per_period must be an integer in [4, 2**16], got {n!r}")
         object.__setattr__(self, "time_channels_per_period", int(n))
         if not (self.counts_scale > 0.0 and math.isfinite(self.counts_scale)):
             raise ConfigError(f"counts_scale must be positive, got {self.counts_scale!r}")

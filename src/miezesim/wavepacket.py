@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 _MAX_PHASE_STEP = math.pi / 4.0
+_MAX_SAMPLES = 2**20
 
 
 class PacketShape(str, Enum):
@@ -98,7 +99,7 @@ class WavePacketSpec:
                  wavelength (intensity) distribution; triangular and
                  rectangular shapes read it as the full base width instead
     kappa        intrinsic-coherence scale factor, >= 1
-    n_samples    k-grid samples (>= 64)
+    n_samples    k-grid samples, an integer from 64 to 2**20
     half_span    half-width of the grid in units of the shape's width scale
                  (sigma for gaussian, half-base for the compact shapes)
     """
@@ -119,8 +120,9 @@ class WavePacketSpec:
             raise ConfigError(f"bandwidth must be in (0, 1), got {self.bandwidth!r}")
         if not (self.kappa >= 1.0 and math.isfinite(self.kappa)):
             raise ConfigError(f"kappa must be >= 1, got {self.kappa!r}")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 64:
-            raise ConfigError(f"n_samples must be an integer >= 64, got {self.n_samples!r}")
+        if not 64 <= self.n_samples <= _MAX_SAMPLES or int(self.n_samples) != self.n_samples:
+            raise ConfigError(
+                f"n_samples must be an integer in [64, 2**20], got {self.n_samples!r}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
         min_span = 4.0 if shape is PacketShape.GAUSSIAN else 1.0
         if not (self.half_span >= min_span):
@@ -146,21 +148,13 @@ class WavePacketSpec:
         return dk / 2.0
 
 
-def spec_from_beamline(cfg: BeamlineConfig, shape: PacketShape | str = PacketShape.GAUSSIAN,
-                       kappa: float = 1.0, n_samples: int = 4096,
-                       half_span: float | None = None) -> WavePacketSpec:
-    """Packet spec matching a beamline config's wavelength and bandwidth."""
-    shape = PacketShape(shape)
-    if half_span is None:
-        half_span = 8.0
-    return WavePacketSpec(
-        shape=shape,
-        k0=cfg.k0,
-        bandwidth=cfg.bandwidth,
-        kappa=kappa,
-        n_samples=n_samples,
-        half_span=half_span,
-    )
+def spec_from_beamline(cfg: BeamlineConfig, **options) -> WavePacketSpec:
+    """Packet spec matching a beamline config's wavelength and bandwidth.
+
+    ``options`` are the other ``WavePacketSpec`` fields; omitted ones keep
+    the dataclass defaults.
+    """
+    return WavePacketSpec(k0=cfg.k0, bandwidth=cfg.bandwidth, **options)
 
 
 def k_distribution(spec: WavePacketSpec) -> tuple[Array, Array]:

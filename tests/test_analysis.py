@@ -14,6 +14,7 @@ from miezesim import (
     DegenerateDataError,
     DiagnosticError,
     FitError,
+    PRESETS,
     ScanPlan,
     WitnessSettings,
     analyze_records,
@@ -25,6 +26,7 @@ from miezesim import (
     expected_channel_means,
     fit_global,
     fit_time_series,
+    load_preset,
     mieze_frequency,
     optimal_settings,
     simulate_scan,
@@ -33,7 +35,7 @@ from miezesim import (
     witness_from_contrast,
     witness_from_fit,
 )
-from miezesim.analysis import _resample_rng
+from miezesim.analysis import _fit_cosines, _resample_rng
 from miezesim.synth import _point_rng
 
 CFG = BeamlineConfig(
@@ -228,6 +230,48 @@ def test_constant_counts_fit_to_zero_amplitude():
     assert math.isclose(fit.mean_level, 500.0, rel_tol=1e-9)
     s = witness_from_fit(fit, SETTINGS).s
     assert abs(s) < 1e-9
+
+
+def test_stacked_fits_match_one_row_fits():
+    # Good rows around three failing ones: a singular design (two distinct
+    # phases), flat data on eight even phases (B = 0 exactly) and a fit
+    # whose mean level is negative.
+    even = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    uneven = np.array([-2.9, -2.0, -1.1, -0.3, 0.4, 1.3, 2.2, 3.0])
+    rng = np.random.default_rng(7)
+    rows = [
+        (even, 10.0 + 2.0 * np.cos(even + 0.3) + rng.normal(0.0, 0.1, 8),
+         rng.uniform(0.5, 2.0, 8)),
+        (np.repeat([0.0, 3.5], 4), np.array([10.0, 11.0, 10.5, 10.2, 5.0, 6.0, 5.5, 5.2]),
+         np.ones(8)),
+        (even, np.ones(8), np.ones(8)),
+        (even, -5.0 + 2.0 * np.cos(even), np.ones(8)),
+        (uneven, 40.0 + 8.0 * np.cos(uneven - 2.0) + rng.normal(0.0, 2.0, 8),
+         rng.uniform(1.0, 3.0, 8)),
+    ]
+    theta, y, sigma = (np.array(column) for column in zip(*rows))
+    fits = _fit_cosines(theta, y, sigma)
+    reasons = {1: "singular", 2: "exactly zero", 3: "mean level must be positive, got -5"}
+    assert list(fits.failures) == list(reasons)
+    assert fits.dof == 5
+    for row, (t, v, s) in enumerate(rows):
+        points = list(zip(t.tolist(), v.tolist(), s.tolist()))
+        if row in fits.failures:
+            with pytest.raises(FitError, match=reasons[row]) as err:
+                fit_global(points)
+            assert str(err.value) == fits.failures[row]
+            assert np.isnan(fits.amplitude[row]) and np.isnan(fits.chi_square[row])
+            continue
+        one = fit_global(points)
+        np.testing.assert_allclose(
+            [fits.mean_level[row], fits.amplitude[row], fits.chi_square[row]],
+            [one.mean_level, one.amplitude, one.chi_square], rtol=1e-12,
+        )
+        assert math.isclose(fits.phase[row], one.phase, abs_tol=1e-12)
+        np.testing.assert_allclose(
+            fits.covariance[row], one.covariance,
+            rtol=1e-12, atol=1e-12 * np.abs(one.covariance).max(),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +513,28 @@ def test_bootstrap_rejects_too_few_resamples():
         bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=99)
 
 
+def test_bootstrap_counts_each_failed_refit():
+    # Channel-0 counts of 1 at four points and 0 elsewhere: a few resamples
+    # are all zero, refit to B = 0 exactly and count as failures.  The rest
+    # must match one-row refits, in resample order.
+    recs = [
+        CountsRecord(current=cur, coord=off, counts=(int(i in (0, 30, 60, 90)),) + (5,) * 15)
+        for i, (cur, off) in enumerate((c, o) for c in PLAN.currents for o in PLAN.offsets)
+    ]
+    boot = bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=200, seed=0)
+    theta, observed, _ = zip(*single_channel_points(CFG, recs))
+    expected = []
+    for index in range(200):
+        counts = _resample_rng(0, index).poisson(observed).astype(float)
+        try:
+            fit = fit_global(zip(theta, counts, np.sqrt(np.maximum(counts, 1.0))))
+        except FitError:
+            continue
+        expected.append(witness_from_fit(fit, SETTINGS).s)
+    assert boot.failures == 200 - len(expected) > 0
+    np.testing.assert_allclose(boot.s_values, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_bootstrap_flags_degenerate_counts():
     zeros = [
         CountsRecord(current=cur, coord=off, counts=(0,) * 16)
@@ -477,3 +543,50 @@ def test_bootstrap_flags_degenerate_counts():
     ]
     with pytest.raises((DiagnosticError, FitError)):
         bootstrap_uncertainty(CFG, zeros, SETTINGS, resamples=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# golden pins: every preset at its own scan seed, bootstrap seed 0
+
+# (primary, per-point, count-ratio) (S, sigma_S), then the bootstrap
+# (sigma_S, failures) of 200 resamples.
+GOLDEN_WITNESS = {
+    "cg4b-10khz": (
+        ((2.4012420068645266, 0.003724844121553619),
+         (2.4038197413236846, 0.0009483127509070688),
+         (2.3762672244275014, 0.012183717707215125)),
+        (0.003551471746383043, 0),
+    ),
+    "cg4b-100khz": (
+        ((2.3138086328145997, 0.00371637088042068),
+         (2.3201443046246104, 0.0009450815580555391),
+         (2.282111585770661, 0.012473853080493574)),
+        (0.003375272156035202, 0),
+    ),
+    "reseda": (
+        ((2.827921003028439, 0.0005210287478701772),
+         (2.828623657394775, 0.0001394536597240492),
+         (2.7895776524612836, 0.010843685718349384)),
+        (0.000505661124686828, 0),
+    ),
+}
+
+
+def test_golden_witness_covers_every_preset():
+    assert set(GOLDEN_WITNESS) == set(PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WITNESS))
+def test_preset_witness_routes_are_pinned(name):
+    routes, (boot_sigma, boot_failures) = GOLDEN_WITNESS[name]
+    rc = load_preset(name)
+    recs = simulate_scan(rc.beamline, rc.plan)
+    report = analyze_records(rc.beamline, recs, rc.settings)
+    got = (report.witness, report.channel_witness, report.count_witness)
+    for result, (s, sigma_s) in zip(got, routes):
+        assert math.isclose(result.s, s, rel_tol=1e-12)
+        assert math.isclose(result.sigma_s, sigma_s, rel_tol=1e-12)
+    # The spread of 200 S values magnifies last-ulp changes in S by S/sigma_S.
+    boot = bootstrap_uncertainty(rc.beamline, recs, rc.settings, resamples=200, seed=0)
+    assert math.isclose(boot.sigma_s, boot_sigma, rel_tol=1e-10)
+    assert boot.failures == boot_failures

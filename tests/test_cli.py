@@ -425,3 +425,17 @@ def test_huge_integer_in_config_exits_2(tmp_path, capsys, digits):
     code = main(["focus", "--config", str(path)])
     assert code == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("simulate", "plan", "time_channels_per_period"), ("envelope", "packet", "n_samples")],
+)
+def test_oversized_grid_in_config_exits_2(tmp_path, capsys, command, section, key):
+    # A grid size far beyond memory must fail validation, not inside numpy.
+    data = json.loads(json.dumps(SMALL_CONFIG))
+    data[section][key] = 10**400
+    path = write_config(tmp_path, data)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{key} must be an integer in" in capsys.readouterr().err
