@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beamline import BeamlineConfig, channel_phase, spin_phase
-from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError
+from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError, bounded_repr
 from .quantum import (
     WitnessSettings,
     classify,
@@ -539,9 +539,9 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     than 5% failed refits raises a diagnostic error.
     """
     if resamples < 100:
-        raise ConfigError(f"resamples must be >= 100, got {resamples}")
+        raise ConfigError(f"resamples must be >= 100, got {bounded_repr(resamples)}")
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {bounded_repr(seed)}")
     records = list(records)
     base_points = single_channel_points(cfg, records, channel=channel, scan_kind=scan_kind)
     theta, observed, _ = np.array(base_points).T

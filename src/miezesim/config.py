@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .beamline import BeamlineConfig, focusing_distance
-from .errors import ConfigError
+from .errors import ConfigError, bounded_repr
 from .quantum import WitnessSettings, optimal_settings
 from .synth import ScanPlan
 from .wavepacket import PacketShape, WavePacketSpec, spec_from_beamline
@@ -45,6 +45,7 @@ _KHZ = 1e3
 _MT_MM = 1e-6  # mT*mm -> T*m
 
 PRESETS = ("cg4b-10khz", "cg4b-100khz", "reseda")
+_MAX_RANGE_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,19 @@ def _check_keys(section: dict, path: str, allowed) -> None:
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {bounded_repr(value)}")
     try:
         value = float(value)
     except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"{where}: {exc}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: must be finite, got {value!r}")
+        raise ConfigError(f"{where}: must be finite, got {bounded_repr(value)}")
     return value
 
 
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {bounded_repr(value)}")
     return value
 
 
@@ -112,6 +113,8 @@ def _value_list(value, where: str) -> tuple[float, ...]:
         count = (stop - start) / step
         if count < 0:
             raise ConfigError(f"{where}: step direction does not reach stop from start")
+        if count > _MAX_RANGE_POINTS - 1:  # an overflowing span reads as inf here
+            raise ConfigError(f"{where}: range has more than 2**16 points")
         n = round(count) + 1
         if not math.isclose(start + (n - 1) * step, stop, rel_tol=0, abs_tol=abs(step) * 1e-6):
             raise ConfigError(f"{where}: step does not evenly divide the range")
@@ -123,7 +126,8 @@ def _value_list(value, where: str) -> tuple[float, ...]:
         try:
             out.append(_number(item, f"{where}[{i}]"))
         except ConfigError:
-            raise ConfigError(f"{where}[{i}]: expected a finite number, got {item!r}") from None
+            raise ConfigError(
+                f"{where}[{i}]: expected a finite number, got {bounded_repr(item)}") from None
     return tuple(out)
 
 
@@ -219,12 +223,13 @@ def _parse_packet(section: dict, beamline: BeamlineConfig) -> WavePacketSpec:
     if "shape" in section:
         shape = section["shape"]
         if not isinstance(shape, str):
-            raise ConfigError(f"{path}.shape: expected a string, got {shape!r}")
+            raise ConfigError(f"{path}.shape: expected a string, got {bounded_repr(shape)}")
         try:
             kwargs["shape"] = PacketShape(shape)
         except ValueError:
             choices = ", ".join(s.value for s in PacketShape)
-            raise ConfigError(f"{path}.shape: must be one of {choices}, got {shape!r}") from None
+            raise ConfigError(
+                f"{path}.shape: must be one of {choices}, got {bounded_repr(shape)}") from None
     return spec_from_beamline(beamline, **kwargs)
 
 
@@ -233,7 +238,7 @@ def _parse_settings(section: dict) -> WitnessSettings:
     _check_keys(section, path, {"optimal"}.union(row[0] for row in _SETTINGS))
     use_optimal = section.get("optimal", False)
     if not isinstance(use_optimal, bool):
-        raise ConfigError(f"{path}.optimal: expected a boolean, got {use_optimal!r}")
+        raise ConfigError(f"{path}.optimal: expected a boolean, got {bounded_repr(use_optimal)}")
     if not use_optimal:
         return WitnessSettings(**_read(section, path, _SETTINGS, extra={"optimal"}))
     extras = set(section) - {"optimal", "alpha1_rad"}
@@ -266,7 +271,7 @@ def parse_run_config(data: dict) -> RunConfig:
     if "output_dir" in data:
         output_dir = data["output_dir"]
         if not isinstance(output_dir, str):
-            raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
+            raise ConfigError(f"output_dir: expected a string, got {bounded_repr(output_dir)}")
         kwargs["output_dir"] = output_dir
     return RunConfig(**kwargs)
 

@@ -43,3 +43,15 @@ class DegenerateDataError(FitError):
 
 class DiagnosticError(MiezesimError):
     """A self-check failed, e.g. too many bootstrap refits did not converge."""
+
+
+def bounded_repr(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters.
+
+    An integer of more than ``4 * limit`` bits is named by its bit length
+    instead: ``repr`` itself raises for one of over 4300 digits.
+    """
+    if isinstance(value, int) and value.bit_length() > 4 * limit:
+        return f"an integer of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."

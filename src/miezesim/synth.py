@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamline import BeamlineConfig, channel_phase, spin_phase
-from .errors import ConfigError
+from .errors import ConfigError, bounded_repr
 from .wavepacket import WavePacketSpec, contrast_envelope
 
 __all__ = [
@@ -87,8 +87,8 @@ class ScanPlan:
             object.__setattr__(self, "detunings", _finite_tuple(self.detunings, "detunings"))
         n = self.time_channels_per_period
         if not 4 <= n <= _MAX_CHANNELS or int(n) != n:
-            raise ConfigError(
-                f"time_channels_per_period must be an integer in [4, 2**16], got {n!r}")
+            raise ConfigError("time_channels_per_period must be an integer in [4, 2**16], "
+                              f"got {bounded_repr(n)}")
         object.__setattr__(self, "time_channels_per_period", int(n))
         if not (self.counts_scale > 0.0 and math.isfinite(self.counts_scale)):
             raise ConfigError(f"counts_scale must be positive, got {self.counts_scale!r}")
@@ -99,8 +99,9 @@ class ScanPlan:
         if not math.isfinite(self.phase_offset):
             raise ConfigError(f"phase_offset must be finite, got {self.phase_offset!r}")
         seed = self.rng_seed
-        if int(seed) != seed or not (0 <= seed < _MAX_SEED):
-            raise ConfigError(f"rng_seed must be a 64-bit unsigned integer, got {seed!r}")
+        if not (0 <= seed < _MAX_SEED) or int(seed) != seed:
+            raise ConfigError(
+                f"rng_seed must be a 64-bit unsigned integer, got {bounded_repr(seed)}")
         object.__setattr__(self, "rng_seed", int(seed))
 
     @property
@@ -267,7 +268,10 @@ def read_counts_csv(path) -> CountsTable:
     """Read a counts CSV (plus sidecar metadata, whose plan gives exact coordinates)."""
     path = Path(path)
     with path.open(newline="", errors="replace") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # e.g. a field over the csv module's 128 KiB limit
+            raise ConfigError(f"{path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty counts file")
     header = rows[0]

@@ -439,3 +439,43 @@ def test_oversized_grid_in_config_exits_2(tmp_path, capsys, command, section, ke
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"{key} must be an integer in" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# degenerate data: each reaches its typed fit error and exits 4, with or
+# without the bootstrap
+
+
+def single_hot_channel_counts(tmp_path):
+    path = tmp_path / "hot.csv"
+    rows = ["current_A,delta_mm,channel,counts"]
+    for i in range(13):
+        for offset in (-35, -5, 5, 35):
+            rows += [f"{-1.0 + 0.01 * i},{offset},{ch},{100 if ch == 0 else 0}"
+                     for ch in range(16)]
+    path.write_text("\n".join(rows) + "\n")
+    return ["--counts", str(path), "--config", str(write_config(tmp_path))]
+
+
+def simulated_counts(tmp_path, **plan):
+    data = json.loads(json.dumps(SMALL_CONFIG))
+    data["plan"].update(plan)
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", str(write_config(tmp_path, data)),
+                 "--out", str(out_dir)]) == 0
+    return ["--counts", str(out_dir / "counts.csv")]
+
+
+@pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", "200"]], ids=["fit", "bootstrap"])
+@pytest.mark.parametrize("counts, message", [
+    (single_hot_channel_counts, "all four counts are zero"),
+    (lambda tmp_path: simulated_counts(tmp_path, counts_scale=1e-12), "exactly zero"),
+    (lambda tmp_path: simulated_counts(tmp_path, currents_a=[-1.0, -0.99], offsets_mm=[-1, 1]),
+     "insufficient phase coverage"),
+], ids=["single-hot-channel", "counts-scale-near-zero", "phase-span-below-pi"])
+def test_degenerate_counts_exit_4(tmp_path, capsys, counts, message, bootstrap):
+    args = counts(tmp_path)
+    capsys.readouterr()
+    code = main(["witness", *args, "--out", str(tmp_path / "wit"), *bootstrap])
+    assert code == 4
+    assert message in capsys.readouterr().err

@@ -8,6 +8,9 @@ import pytest
 from miezesim import (
     ConfigError,
     PRESETS,
+    ScanPlan,
+    WavePacketSpec,
+    bootstrap_uncertainty,
     config_echo,
     focusing_distance,
     load_preset,
@@ -407,3 +410,36 @@ def test_echo_round_trip_is_exact_for_focusing_distance(f1_khz, f2_khz, l1_mm):
     rc = parse_run_config(base_config(f1_khz=f1_khz, f2_khz=f2_khz, l1_mm=l1_mm))
     assert parse_run_config(json.loads(json.dumps(config_echo(rc)))) == rc
     assert math.isclose(rc.beamline.l2, focusing_distance(rc.beamline), rel_tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# library input too large to print: the message is bounded, the error typed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScanPlan(currents=(-0.9,), rng_seed=10**5000),
+    lambda: ScanPlan(currents=(-0.9,), time_channels_per_period=10**5000),
+    lambda: WavePacketSpec(k0=1e10, bandwidth=0.01, n_samples=10**5000),
+    lambda: bootstrap_uncertainty(parse_run_config(base_config()).beamline, [],
+                                  optimal_settings(), seed=10**5000),
+    lambda: parse_run_config({**base_config(), "plan": {"currents_a": [10**5000]}}),
+    lambda: ScanPlan(currents=(-0.9,), rng_seed=math.inf),
+    lambda: ScanPlan(currents=(-0.9,), rng_seed=math.nan),
+], ids=["rng_seed", "time_channels_per_period", "n_samples", "bootstrap-seed",
+        "config-list-item", "rng_seed-inf", "rng_seed-nan"])
+def test_unprintable_or_non_integer_input_is_a_config_error(build):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert len(str(err.value)) < 200
+
+
+def test_range_with_too_many_points_is_a_config_error():
+    # A few bytes of range must not expand into an unbounded tuple; the
+    # second span overflows to inf.
+    for start, stop in ((0, 2**16), (-1e308, 1e308)):
+        data = {**base_config(), "plan": {"currents_a": {"start": start, "stop": stop,
+                                                         "step": 1}}}
+        with pytest.raises(ConfigError, match=r"range has more than 2\*\*16 points"):
+            parse_run_config(data)
+    data = {**base_config(), "plan": {"currents_a": {"start": 1, "stop": 2**16, "step": 1}}}
+    assert len(parse_run_config(data).plan.currents) == 2**16

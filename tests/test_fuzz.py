@@ -1,0 +1,212 @@
+"""Fuzzing of outside input: run configs and counts tables with their sidecars.
+
+Every input must end in a result or in one of the package's typed errors,
+never in another exception.  The runs are derandomized and bounded, so the
+same examples run every time.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from miezesim import (
+    PRESETS,
+    ConfigError,
+    CountsTable,
+    MiezesimError,
+    PhysicsError,
+    RunConfig,
+    ScanPlan,
+    config_echo,
+    load_preset,
+    parse_run_config,
+    read_counts_csv,
+    simulate_scan,
+    write_counts_csv,
+)
+
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0, -1, 2**64, 10**400, 1e308, 5e-324, 1e-300]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=6))
+RANGES = st.fixed_dictionaries({"start": NUMBERS, "stop": NUMBERS, "step": NUMBERS})
+VALUES = st.one_of(
+    st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+    RANGES,
+)
+FACTORS = st.sampled_from([0.0, -1.0, 0.5, 1.0 + 1e-9, 1e3, 1e-300, 1e300])
+
+ECHOES = {name: config_echo(load_preset(name)) for name in PRESETS}
+
+
+def fresh_echo(name: str) -> dict:
+    return json.loads(json.dumps(ECHOES[name]))
+
+
+def scaled(value, factor: float):
+    """``value`` with every number in it multiplied by ``factor``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return value * factor
+        except OverflowError:  # an integer beyond the float range
+            return value
+    if isinstance(value, list):
+        return [scaled(item, factor) for item in value]
+    if isinstance(value, dict):
+        return {key: scaled(item, factor) for key, item in value.items()}
+    return value
+
+
+def mutate(config: dict, data) -> None:
+    """One edit of a section or of one of its fields: set, scale, drop or add a key.
+
+    Numbers are set and scaled more often than other edits, so that more
+    inputs get past the key and type checks to the dataclass validation.
+    """
+    holder = config
+    key = data.draw(st.sampled_from(sorted(config)))
+    if isinstance(config[key], dict) and config[key] and data.draw(st.booleans()):
+        holder = config[key]
+        key = data.draw(st.sampled_from(sorted(holder)))
+    action = data.draw(st.sampled_from(["set", "number", "scale", "scale", "drop", "add"]))
+    if action == "set":
+        holder[key] = data.draw(VALUES)
+    elif action == "number":
+        holder[key] = data.draw(NUMBERS)
+    elif action == "scale":
+        holder[key] = scaled(holder[key], data.draw(FACTORS))
+    elif action == "drop":
+        del holder[key]
+    else:
+        holder[data.draw(st.text(max_size=5))] = data.draw(VALUES)
+
+
+@FUZZ
+@given(name=st.sampled_from(PRESETS), edits=st.integers(1, 4), data=st.data())
+def test_parse_run_config_ends_in_a_config_or_a_typed_error(name, edits, data):
+    config = fresh_echo(name)
+    for _ in range(edits):
+        if config:
+            mutate(config, data)
+    try:
+        rc = parse_run_config(config)
+    except MiezesimError:
+        return
+    assert isinstance(rc, RunConfig)
+    assert rc.beamline.f1 < rc.beamline.f2
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(name=st.sampled_from(PRESETS), f1_khz=st.floats(1e-3, 1e4),
+       fraction=st.floats(0.01, 1.0), focused=st.booleans())
+def test_f1_at_or_above_f2_is_a_physics_error(name, f1_khz, fraction, focused):
+    config = fresh_echo(name)
+    beamline = config["beamline"]
+    beamline["f1_khz"], beamline["f2_khz"] = f1_khz, f1_khz * fraction
+    if focused:  # no l2: the detector goes to the focusing point
+        del beamline["l2_mm"]
+    with pytest.raises(PhysicsError):
+        parse_run_config(config)
+
+
+# ---------------------------------------------------------------------------
+# counts tables
+
+
+class CountsFiles(list):
+    """(CSV, sidecar) byte pairs plus a directory to write fuzzed copies to."""
+
+    fuzz_dir = None
+
+
+@pytest.fixture(scope="module")
+def counts_files(tmp_path_factory):
+    """CSV and sidecar bytes of a small offset scan and a small detuning scan."""
+    rc = load_preset("cg4b-10khz")
+    out = CountsFiles()
+    out.fuzz_dir = tmp_path_factory.mktemp("fuzz")
+    for plan in (ScanPlan(currents=(-0.95, -0.9), offsets=(-0.005, 0.005),
+                          time_channels_per_period=4, rng_seed=7),
+                 ScanPlan(currents=(-0.95,), detunings=(-10.0, 10.0),
+                          time_channels_per_period=4, rng_seed=7)):
+        path = tmp_path_factory.mktemp("counts") / "counts.csv"
+        sidecar = write_counts_csv(path, simulate_scan(rc.beamline, plan), plan)
+        out.append((path.read_bytes(), sidecar.read_bytes()))
+    return out
+
+
+CSV_TEXT = st.text(alphabet="0123456789.-+eE_, \n\r\"xinfa", max_size=8)
+CHUNKS = st.one_of(CSV_TEXT.map(str.encode), st.binary(max_size=4))
+
+
+def mutate_bytes(text: bytes, data) -> bytes:
+    """One edit of ``text``: a span replaced, deleted or duplicated, or the tail cut."""
+    start = data.draw(st.integers(0, len(text)))
+    stop = data.draw(st.integers(start, min(len(text), start + 12)))
+    action = data.draw(st.sampled_from(["replace", "delete", "duplicate", "truncate"]))
+    if action == "replace":
+        return text[:start] + data.draw(CHUNKS) + text[stop:]
+    if action == "delete":
+        return text[:start] + text[stop:]
+    if action == "duplicate":
+        return text[:stop] + text[start:stop] + text[stop:]
+    return text[:start]
+
+
+def sidecar_variant(sidecar: bytes, data) -> bytes | None:
+    """The sidecar mutated as bytes, with its plan coordinates replaced, swapped or absent."""
+    kind = data.draw(st.sampled_from(["keep", "bytes", "coords", "json", "absent"]))
+    if kind == "keep":
+        return sidecar
+    if kind == "bytes":
+        return mutate_bytes(sidecar, data)
+    if kind == "json":
+        return json.dumps(data.draw(VALUES)).encode()
+    if kind == "absent":
+        return None
+    payload = json.loads(sidecar)
+    key = data.draw(st.sampled_from(["offsets", "detunings", "plan"]))
+    if key == "plan":
+        payload["plan"] = data.draw(VALUES)
+    else:
+        payload["plan"][key] = data.draw(VALUES)
+    return json.dumps(payload).encode()
+
+
+@FUZZ
+@given(which=st.integers(0, 1), edits=st.integers(0, 3), data=st.data())
+def test_read_counts_csv_ends_in_a_table_or_a_config_error(counts_files, which, edits, data):
+    text, sidecar = counts_files[which]
+    for _ in range(edits):
+        text = mutate_bytes(text, data)
+    sidecar = sidecar_variant(sidecar, data)
+    path = counts_files.fuzz_dir / "counts.csv"
+    path.write_bytes(text)
+    if sidecar is None:
+        path.with_suffix(".meta.json").unlink(missing_ok=True)
+    else:
+        path.with_suffix(".meta.json").write_bytes(sidecar)
+    try:
+        table = read_counts_csv(path)
+    except ConfigError:
+        return
+    assert isinstance(table, CountsTable)
+    assert len({len(record.counts) for record in table.records}) == 1
+
+
+def test_csv_field_over_the_csv_module_limit_is_a_config_error(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("current_A,delta_mm,channel,counts\n" + "1" * 200_000 + ",0,0,5\n")
+    with pytest.raises(ConfigError, match="field larger than field limit"):
+        read_counts_csv(path)

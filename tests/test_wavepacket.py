@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from miezesim import wavepacket
 from miezesim import (
     PRESETS,
     BeamlineConfig,
@@ -502,3 +503,111 @@ def test_length_one_z_array_returns_an_array():
         assert isinstance(scalar, float)
         assert isinstance(array, np.ndarray) and array.shape == (1,)
         assert array[0] == scalar
+
+
+# ---------------------------------------------------------------------------
+# the two quadrature paths: factored over a long uniform window, direct otherwise
+
+
+@pytest.fixture
+def quadrature_paths(monkeypatch):
+    """The path each k-integral takes, in call order: "factored" or "direct"."""
+    taken = []
+    factored = wavepacket._factored_k_sum
+
+    def spy(*args):
+        out = factored(*args)
+        taken.append("direct" if out is None else "factored")
+        return out
+
+    monkeypatch.setattr(wavepacket, "_factored_k_sum", spy)
+    return taken
+
+
+def direct_only(monkeypatch):
+    monkeypatch.setattr(wavepacket, "_factored_k_sum", lambda *args: None)
+
+
+def transport_window(state, t, planes=1201):
+    z_up, z_down = stationary_peak_positions(state, t)
+    center = 0.5 * (z_up + z_down)
+    return np.linspace(center - 2e-7, center + 2e-7, planes)
+
+
+def test_factored_quadrature_matches_direct_on_transport_grids(quadrature_paths, monkeypatch):
+    stages, times = criterion_6_setup()
+    windows = [(state, t, transport_window(state, t)) for state in stages for t in times]
+    factored = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
+    assert quadrature_paths == ["factored"] * 2 * len(windows)
+    # The direct sum at one plane does not depend on the others, so every 8th
+    # plane is checked: 8 is coprime to the 35-plane chunk, so the samples
+    # meet every chunk and every position within a chunk.
+    direct_only(monkeypatch)
+    for (state, t, z), fields in zip(windows, factored):
+        for field, want in zip(fields, wavepacket._branch_fields(state, z[::8], t)):
+            assert np.max(np.abs(field[::8] - want)) <= 1e-13 * np.max(np.abs(field))
+
+
+def test_nudged_window_falls_back_to_the_direct_path(quadrature_paths, monkeypatch):
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    z = transport_window(state, t, 201)
+    z[100] += 1e-12
+    got = branch_intensities(state, z, t)
+    assert quadrature_paths == ["direct", "direct"]
+    direct_only(monkeypatch)
+    for values, want in zip(got, branch_intensities(state, z, t)):
+        assert np.array_equal(values, want)
+
+
+def test_window_whose_spacing_overflows_takes_the_direct_path(quadrature_paths):
+    # Without rotation (no flipper) the relative phase is flat in z, so the
+    # guard passes however far apart the planes are.
+    state = initial_state(SPEC)
+    z = np.r_[-1e308, np.linspace(-1e307, 1e307, 98), 1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = detected_intensity(state, z, 0.0, spin_projection=0.0)
+    assert quadrature_paths == ["direct"]
+    np.testing.assert_allclose(got, 1.0, rtol=1e-12)
+
+
+def test_short_window_takes_the_direct_path(quadrature_paths, monkeypatch):
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    branch_intensities(state, transport_window(state, t, wavepacket._MIN_FACTORED_PLANES), t)
+    assert quadrature_paths == ["factored", "factored"]
+    quadrature_paths.clear()
+    z = transport_window(state, t, wavepacket._MIN_FACTORED_PLANES - 1)
+    got = branch_intensities(state, z, t)
+    rc = load_preset("cg4b-10khz")
+    deltas = sorted(set(rc.plan.offsets) | {0.0})
+    envelope = contrast_envelope(rc.beamline, rc.packet, deltas)
+    assert quadrature_paths == ["direct"] * 3
+    direct_only(monkeypatch)
+    for values, want in zip(got, branch_intensities(state, z, t)):
+        assert np.array_equal(values, want)
+    assert envelope == contrast_envelope(rc.beamline, rc.packet, deltas)
+
+
+def test_detected_intensity_on_a_uniform_window_matches_the_direct_path(quadrature_paths):
+    state = pipeline_packet_state(CFG, SPEC)
+    focus = CFG.l1 + focusing_distance(CFG)
+    t = focus / CFG.velocity
+    z = np.linspace(focus - 0.07, focus + 0.07, 201)
+    got = detected_intensity(state, z, t, spin_projection=0.3)
+    assert quadrature_paths == ["factored"]
+    want = [detected_intensity(state, plane, t, spin_projection=0.3) for plane in z]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_transport_grid_peak_memory_is_far_below_one_phasor_array():
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    z = transport_window(state, t)
+    tracemalloc.start()
+    try:
+        branch_intensities(state, z, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
