@@ -47,7 +47,7 @@ from .quantum import (
     classify,
     expectation_from_counts,
 )
-from .synth import CountsRecord
+from .synth import CountsRecord, _point_rng, _poisson_rows
 
 Array = np.ndarray
 
@@ -330,24 +330,38 @@ def witness_from_contrast(contrast: float) -> float:
     return 2.0 * math.sqrt(2.0) * contrast
 
 
+class _Scan:
+    """A record set validated once: (P,) currents and coordinates, (P, n) counts."""
+
+    def __init__(self, cfg: BeamlineConfig, records, scan_kind: str) -> None:
+        records = list(records)
+        if not records:
+            raise ConfigError("no records to analyze")
+        if scan_kind not in ("offset", "detuning"):
+            raise ConfigError(f"unknown scan kind {scan_kind!r}")
+        widths = {len(rec.counts) for rec in records}
+        if len(widths) != 1:
+            raise ConfigError(f"inconsistent channel counts across points: {sorted(widths)}")
+        self.cfg, self.scan_kind = cfg, scan_kind
+        self.currents, self.coords = np.array([(rec.current, rec.coord) for rec in records]).T
+        self.counts = np.array([rec.counts for rec in records], dtype=float)
+
+    def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
+        """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""
+        n = self.counts.shape[1]
+        if not (0 <= channel < n):
+            raise ConfigError(f"channel {channel} out of range for {n} time channels")
+        phase = spin_phase(self.cfg, self.currents) + channel_phase(
+            self.cfg, self.scan_kind, self.coords, channel, n)
+        counts = self.counts[:, channel]
+        return phase, counts, _poisson_sigma(counts)
+
+
 def single_channel_points(cfg: BeamlineConfig, records, channel: int = 0,
                           scan_kind: str = "offset") -> list[tuple[float, float, float]]:
     """(phase, counts, sigma) of one time channel across all scan points."""
-    records = list(records)
-    if not records:
-        raise ConfigError("no records to analyze")
-    if scan_kind not in ("offset", "detuning"):
-        raise ConfigError(f"unknown scan kind {scan_kind!r}")
-    n = len(records[0].counts)
-    if not (0 <= channel < n):
-        raise ConfigError(f"channel {channel} out of range for {n} time channels")
-    points = []
-    for rec in records:
-        phase = spin_phase(cfg, rec.current) + channel_phase(
-            cfg, scan_kind, rec.coord, channel, len(rec.counts))
-        count = float(rec.counts[channel])
-        points.append((phase, count, math.sqrt(max(count, 1.0))))
-    return points
+    points = _Scan(cfg, records, scan_kind).channel_points(channel)
+    return list(zip(*(column.tolist() for column in points)))
 
 
 def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
@@ -360,14 +374,9 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
     The pooled (C, phi) pair is then evaluated at the witness settings.
     Returns the witness plus the pooled two-stage fit summary.
     """
-    records = list(records)
-    if not records:
-        raise ConfigError("no records to analyze")
-    counts = np.array([rec.counts for rec in records], dtype=float)
-    fits = _fit_channels(counts)
-    n = counts.shape[1]
-    base = np.array([spin_phase(cfg, rec.current) + channel_phase(cfg, scan_kind, rec.coord, 0, n)
-                     for rec in records])
+    scan = _Scan(cfg, records, scan_kind)
+    fits = _fit_channels(scan.counts)
+    base = scan.channel_points(0)[0]
     a, b = fits.mean_level, fits.amplitude
     grad = np.stack([-b / a**2, 1.0 / a, np.zeros_like(a)], axis=-1)
     c_weights = 1.0 / np.maximum(np.einsum("ri,rij,rj->r", grad, fits.covariance, grad), 1e-300)
@@ -383,7 +392,7 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
         phase=phi_hat,
         covariance=np.diag([0.0, sigma_c**2, sigma_phi**2]),
         chi_square=float(fits.chi_square.sum()),
-        dof=fits.dof * len(records),
+        dof=fits.dof * len(base),
     )
     return witness_from_fit(pooled, settings), pooled
 
@@ -405,26 +414,23 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     """
     if scan_kind != "offset":
         raise ConfigError("count-ratio witness requires an offset scan")
-    records = list(records)
-    if not records:
-        raise ConfigError("no records to analyze")
-    n = len(records[0].counts)
-
-    by_point: dict[tuple[float, float], CountsRecord] = {}
-    for rec in records:
-        by_point[(rec.current, rec.coord)] = rec
-    currents = sorted({rec.current for rec in records}, key=lambda c: (abs(c), c))
-    offsets = sorted({rec.coord for rec in records}, key=lambda d: (abs(d), d))
+    scan = _Scan(cfg, records, scan_kind)
+    n = scan.counts.shape[1]
+    by_point = {point: row for row, point in
+                enumerate(zip(scan.currents.tolist(), scan.coords.tolist()))}
+    currents = sorted({c for c, _ in by_point}, key=lambda c: (abs(c), c))
+    offsets = sorted({d for _, d in by_point}, key=lambda d: (abs(d), d))
+    alphas = list(zip(spin_phase(cfg, np.array(currents)).tolist(), currents))
 
     def pick_current(target: float) -> float:
-        return min(currents, key=lambda c: (_wrap_distance(spin_phase(cfg, c), target), abs(c)))
+        return min(alphas, key=lambda ac: (_wrap_distance(ac[0], target), abs(ac[1])))[1]
 
-    phases = {d: channel_phase(cfg, "offset", d, np.arange(n), n).tolist() for d in offsets}
+    phases = channel_phase(cfg, "offset", np.array(offsets)[:, None], np.arange(n), n).tolist()
 
     def pick_gamma(target: float) -> tuple[float, int]:
         best = None
-        for delta in offsets:
-            for ch, value in enumerate(phases[delta]):
+        for delta, row in zip(offsets, phases):
+            for ch, value in enumerate(row):
                 key = (_wrap_distance(value, target), abs(delta), ch)
                 if best is None or key < best[0]:
                     best = (key, delta, ch)
@@ -439,7 +445,7 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
                 current = pick_current(alpha + k * math.pi)
                 for l in (0, 1):
                     delta, ch = pick_gamma(gamma + l * math.pi)
-                    outcome_counts[(k, l)] = float(by_point[(current, delta)].counts[ch])
+                    outcome_counts[(k, l)] = float(scan.counts[by_point[(current, delta)], ch])
             e[i, j] = expectation_from_counts(outcome_counts)
             total = sum(outcome_counts.values())
             sig[i, j] = math.sqrt(max(1.0 - e[i, j] ** 2, 0.0) / total)
@@ -480,10 +486,8 @@ def analyze_records(cfg: BeamlineConfig, records, settings: WitnessSettings,
     points = single_channel_points(cfg, records, channel=channel, scan_kind=scan_kind)
     fit = fit_global(points)
     primary = witness_from_fit(fit, settings)
-    samples = tuple(
-        PointSample(phase=p[0], intensity=p[1], sigma=p[2], model=float(fit.model(p[0])))
-        for p in points
-    )
+    model = fit.model([p[0] for p in points]).tolist()
+    samples = tuple(PointSample(*p, model=m) for p, m in zip(points, model))
     count_route = None
     if scan_kind == "offset":
         count_route = counts_witness(cfg, records, settings, scan_kind=scan_kind)
@@ -519,11 +523,11 @@ class BootstrapResult:
     s_values: tuple[float, ...]
 
 
+_RESAMPLE_KEY = 1 << 64  # high key word 1: apart from simulate_scan's bare 64-bit seeds
+
+
 def _resample_rng(seed: int, index: int) -> np.random.Generator:
-    # High key word 1 sets these streams apart from the scan simulation's
-    # point streams, which are keyed by the bare 64-bit seed.
-    bitgen = np.random.Philox(key=(1 << 64) | seed, counter=index * 2**128)
-    return np.random.Generator(bitgen)
+    return _point_rng(_RESAMPLE_KEY | seed, index)
 
 
 def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSettings,
@@ -542,11 +546,9 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
         raise ConfigError(f"resamples must be >= 100, got {bounded_repr(resamples)}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {bounded_repr(seed)}")
-    records = list(records)
-    base_points = single_channel_points(cfg, records, channel=channel, scan_kind=scan_kind)
-    theta, observed, _ = np.array(base_points).T
-    counts = np.array(
-        [_resample_rng(seed, index).poisson(observed) for index in range(resamples)], dtype=float)
+    theta, observed, _ = _Scan(cfg, records, scan_kind).channel_points(channel)
+    means = np.broadcast_to(observed, (resamples, observed.size))
+    counts = _poisson_rows(_RESAMPLE_KEY | seed, means).astype(float)
     fits = _fit_cosines(theta, counts, _poisson_sigma(counts))
     failures = len(fits.failures)
     if failures > 0.05 * resamples:

@@ -124,13 +124,13 @@ def mieze_frequency(cfg: BeamlineConfig) -> float:
     return 2.0 * (cfg.omega2 - cfg.omega1)
 
 
-def spin_phase(cfg: BeamlineConfig, current: float) -> float:
-    """Larmor spin phase alpha (rad) for a given coil current (A).
+def spin_phase(cfg: BeamlineConfig, current: float | np.ndarray) -> float | np.ndarray:
+    """Larmor spin phase alpha (rad) for a coil current (A), elementwise on arrays.
 
     alpha = (gamma_n m lambda / h) * (coil_cal * current + guide_bl), i.e.
     gamma_n * integral(B dl) / v.
     """
-    if not math.isfinite(current):
+    if not np.all(np.isfinite(current)):
         raise ValueError(f"current must be finite, got {current!r}")
     bl = cfg.coil_cal * current + cfg.guide_bl
     return CODATA2018.gyromagnetic_ratio * bl / cfg.velocity
@@ -144,12 +144,12 @@ def current_for_spin_phase(cfg: BeamlineConfig, alpha: float) -> float:
     return (bl - cfg.guide_bl) / cfg.coil_cal
 
 
-def energy_phase(cfg: BeamlineConfig, delta: float) -> float:
-    """Energy phase gamma (rad) at detector offset delta (m) from the focus.
+def energy_phase(cfg: BeamlineConfig, delta: float | np.ndarray) -> float | np.ndarray:
+    """Energy phase gamma (rad) at detector offset delta (m) from the focus, elementwise.
 
     gamma = -(m lambda omega_m / h) * delta = -omega_m * delta / v.
     """
-    if not math.isfinite(delta):
+    if not np.all(np.isfinite(delta)):
         raise ValueError(f"offset must be finite, got {delta!r}")
     return -mieze_frequency(cfg) * delta / cfg.velocity
 
@@ -175,7 +175,7 @@ def channel_phase(cfg: BeamlineConfig, scan_kind: str, coord: float, channel, n:
     """Phase omega_m t + gamma (rad) of time channel(s) ``channel`` of ``n`` per period T.
 
     t = channel (T / n); gamma is ``energy_phase(coord)`` in offset scans and
-    -2 coord t in detuning scans.  The caller adds the spin phase alpha.
+    -2 coord t in detuning scans.  Arrays broadcast; the caller adds alpha.
     """
     omega_m = mieze_frequency(cfg)
     t = channel * (2.0 * math.pi / omega_m / n)

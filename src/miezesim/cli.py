@@ -7,8 +7,8 @@ Subcommands:
 * ``envelope`` — tabulate packet contrast versus detector offset.
 * ``focus``    — report the focusing distance and its sensitivities.
 
-Exit codes: 0 success, 2 malformed input or configuration, 3 infeasible
-physics, 4 fit failure.
+Exit codes: 0 success, 2 malformed input, configuration or k-grid resolution
+refusal, 3 infeasible physics, 4 fit failure, degenerate data or diagnostic.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import AnalysisReport, WitnessResult, analyze_records, bootstrap_uncertainty
@@ -208,12 +210,10 @@ def _coherence_lines(rc: RunConfig) -> list[str]:
     lines = []
     if rc.plan is None or rc.packet is None:
         return lines
-    checks = []
-    max_alpha = max(abs(spin_phase(rc.beamline, i)) for i in rc.plan.currents)
-    checks.append(("spin-phase", max_alpha))
-    if rc.plan.detunings is None:
-        max_gamma = max(abs(energy_phase(rc.beamline, d)) for d in rc.plan.offsets)
-        checks.append(("energy-phase", max_gamma))
+    cfg, plan = rc.beamline, rc.plan
+    checks = [("spin-phase", np.abs(spin_phase(cfg, np.array(plan.currents))).max())]
+    if plan.detunings is None:
+        checks.append(("energy-phase", np.abs(energy_phase(cfg, np.array(plan.offsets))).max()))
     for label, phase in checks:
         chk = coherence_check(phase, rc.packet)
         verdict = "satisfied" if chk.satisfied else "VIOLATED"

@@ -30,7 +30,7 @@ class PhysicsError(MiezesimError):
 
 
 class ResolutionError(MiezesimError):
-    """k-space grid cannot resolve the integrand phase (quadrature would alias)."""
+    """k-space grid cannot resolve the integrand phase (quadrature would alias; exit code 2)."""
 
 
 class FitError(MiezesimError):
@@ -38,11 +38,11 @@ class FitError(MiezesimError):
 
 
 class DegenerateDataError(FitError):
-    """Input data carries no usable signal (for example all-zero counts)."""
+    """Input data carries no usable signal, e.g. all-zero counts (exit code 4)."""
 
 
 class DiagnosticError(MiezesimError):
-    """A self-check failed, e.g. too many bootstrap refits did not converge."""
+    """A self-check failed, e.g. too many bootstrap refits failed (exit code 4)."""
 
 
 def bounded_repr(value, limit: int = 80) -> str:

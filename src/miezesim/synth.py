@@ -10,10 +10,10 @@ set by the detector offset (or, in detuning scans, the time-dependent phase
 ``-2 dw t_i``), and ``phi`` a global phase absorbing the arbitrary time-channel
 origin.  Counts are Poisson draws around ``mu_i``.
 
-Reproducibility: every scan point gets its own counter-based RNG stream
-(Philox keyed by the plan seed, counter offset by the point index), so results
-are bit-identical for a fixed seed no matter how points are batched or
-parallelized.
+All P scan points' means come from one (P, n) phase grid and one ``cos``.
+Row i is drawn from its own counter-based stream (Philox keyed by the plan
+seed, counter offset by i), so counts are bit-identical for a fixed seed
+however the rows are batched; the bootstrap resamples through this row sampler.
 """
 
 from __future__ import annotations
@@ -182,6 +182,11 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _poisson_rows(key: int, means: np.ndarray) -> np.ndarray:
+    """Poisson draws around each row of ``means``, row i from ``_point_rng(key, i)``."""
+    return np.array([_point_rng(key, i).poisson(row) for i, row in enumerate(means)])
+
+
 def simulate_scan(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str = "ideal",
                   packet_spec: WavePacketSpec | None = None) -> list[CountsRecord]:
     """Poisson-sampled counts for every (current, coordinate) point of the plan.
@@ -191,22 +196,12 @@ def simulate_scan(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str = "i
     index.
     """
     contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec)
-    records: list[CountsRecord] = []
-    point_index = 0
-    for current in plan.currents:
-        for coord in plan.coords:
-            means = _point_means(cfg, plan, current, coord, contrasts[coord])
-            rng = _point_rng(plan.rng_seed, point_index)
-            counts = rng.poisson(means)
-            records.append(
-                CountsRecord(
-                    current=current,
-                    coord=coord,
-                    counts=tuple(int(c) for c in counts),
-                )
-            )
-            point_index += 1
-    return records
+    grid = [(current, coord) for current in plan.currents for coord in plan.coords]
+    currents, coords, contrast = np.array(
+        [(current, coord, contrasts[coord]) for current, coord in grid]).T[..., None]
+    counts = _poisson_rows(plan.rng_seed, _point_means(cfg, plan, currents, coords, contrast))
+    return [CountsRecord(current=current, coord=coord, counts=tuple(row))
+            for (current, coord), row in zip(grid, counts.tolist())]
 
 
 def normalize(record: CountsRecord, n0: float) -> np.ndarray:

@@ -317,10 +317,11 @@ def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Ar
         return None
     rows = math.isqrt(n - 1) + 1  # B planes per chunk, B >= sqrt(Z)
     starts = u[::rows]
-    within = (u[-1] - u[0]) / (n - 1) * np.arange(rows)
-    eps = u - (starts[:, None] + within).ravel()[:n]
-    if not np.max(np.abs(slope)) * np.max(np.abs(eps)) <= _MAX_RESIDUAL_PHASE:  # NaN too
-        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spacing gives NaN
+        within = (u[-1] - u[0]) / (n - 1) * np.arange(rows)
+        eps = u - (starts[:, None] + within).ravel()[:n]
+        if not np.max(np.abs(slope)) * np.max(np.abs(eps)) <= _MAX_RESIDUAL_PHASE:  # NaN too
+            return None
     # One array for both blocks: two freed ~2 MB arrays made glibc trim the
     # heap, so that the next envelope call page-faulted ~160 times.
     both = _phasors(np.r_[starts, within], slope, 0.0)

@@ -456,6 +456,38 @@ def test_single_channel_points_validation():
         single_channel_points(CFG, [])
 
 
+ROUTES = {
+    "single_channel_points": lambda recs, kind: single_channel_points(CFG, recs, scan_kind=kind),
+    "analyze_records": lambda recs, kind: analyze_records(CFG, recs, SETTINGS, scan_kind=kind),
+    "channel_fits_witness":
+        lambda recs, kind: channel_fits_witness(CFG, recs, SETTINGS, scan_kind=kind),
+    "counts_witness": lambda recs, kind: counts_witness(CFG, recs, SETTINGS, scan_kind=kind),
+    "bootstrap_uncertainty":
+        lambda recs, kind: bootstrap_uncertainty(CFG, recs, SETTINGS, scan_kind=kind),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_records_of_unequal_width(route):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    recs[-1] = replace(recs[-1], counts=recs[-1].counts[:-1])
+    with pytest.raises(ConfigError, match=r"inconsistent channel counts .*\[15, 16\]"):
+        ROUTES[route](recs, "offset")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_an_unknown_scan_kind(route):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    with pytest.raises(ConfigError, match="scan"):
+        ROUTES[route](recs, "bogus")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_an_empty_record_set(route):
+    with pytest.raises(ConfigError, match="no records"):
+        ROUTES[route](iter([]), "offset")
+
+
 def test_detuning_scan_reduces_like_offset_scan():
     plan = ScanPlan(
         currents=tuple(np.linspace(-1.0, -0.88, 13)),

@@ -25,6 +25,7 @@ from miezesim import (
     optimal_settings,
     spin_phase,
 )
+from miezesim.beamline import channel_phase
 
 # Independent oracle constants (CODATA-2018 literals, not imported from the package)
 NEUTRON_MASS = 1.67492749804e-27
@@ -159,6 +160,48 @@ def test_energy_phase_detuning():
     assert math.isclose(
         energy_phase_detuning(3.0, 5.0), -30.0, rel_tol=1e-15
     )
+
+
+PHASE_LAWS = {"spin_phase": spin_phase, "energy_phase": energy_phase}
+
+
+@pytest.mark.parametrize("law", sorted(PHASE_LAWS))
+def test_phase_laws_on_arrays_equal_scalar_calls_bit_for_bit(law):
+    fn = PHASE_LAWS[law]
+    values = np.r_[np.linspace(-1.0, 1.0, 23), -0.94, 0.035, -0.0, 1e-300]
+    want = np.array([fn(CFG, float(v)) for v in values])
+    for shape in ((values.size,), (3, 9), (27, 1)):
+        got = fn(CFG, values.reshape(shape))
+        assert got.shape == shape
+        assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("law", sorted(PHASE_LAWS))
+def test_phase_laws_return_a_float_for_a_scalar(law):
+    assert type(PHASE_LAWS[law](CFG, -0.94)) is float
+    assert type(PHASE_LAWS[law](CFG, 0)) is float
+
+
+@pytest.mark.parametrize("law", sorted(PHASE_LAWS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_laws_reject_one_non_finite_element(law, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        PHASE_LAWS[law](CFG, np.array([-0.94, bad, 0.005]))
+    with pytest.raises(ValueError, match="must be finite"):
+        PHASE_LAWS[law](CFG, bad)
+
+
+@pytest.mark.parametrize("kind, coords", [
+    ("offset", (-0.035, 0.0, 0.005)),
+    ("detuning", (-300.0, 0.0, 800.0)),
+])
+def test_channel_phase_grid_equals_per_coordinate_rows(kind, coords):
+    n = 17
+    grid = channel_phase(CFG, kind, np.array(coords)[:, None], np.arange(n), n)
+    assert grid.shape == (len(coords), n)
+    for coord, row in zip(coords, grid):
+        assert np.array_equal(row, channel_phase(CFG, kind, coord, np.arange(n), n))
+        assert row[5] == channel_phase(CFG, kind, coord, 5, n)
 
 
 def test_focusing_distance_reference_geometry():

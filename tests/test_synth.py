@@ -28,6 +28,7 @@ from miezesim import (
     spin_phase,
     write_counts_csv,
 )
+from miezesim.synth import _point_rng
 
 CFG = BeamlineConfig(
     wavelength=0.55e-9,
@@ -240,6 +241,31 @@ def test_point_streams_do_not_overlap():
     by_point = {(r.current, r.coord): r.counts for r in recs}
     assert len(by_point) == plan.n_points
     assert len({counts for counts in by_point.values()}) == plan.n_points
+
+
+WIDE = replace(CFG, bandwidth=0.116)
+
+
+@pytest.mark.parametrize("cfg, plan, model", [
+    (CFG, ScanPlan(currents=(-1.0, -0.94, -0.9), offsets=(-0.02, 0.0, 0.005),
+                   time_channels_per_period=5, phase_offset=0.3, rng_seed=11), "ideal"),
+    (CFG, ScanPlan(currents=(-0.94, -0.9), offsets=(0.005, -0.035), time_channels_per_period=17,
+                   background_rate=4.0, phase_offset=-1.3, rng_seed=2**64 - 1), "ideal"),
+    (CFG, ScanPlan(currents=(-0.94, -0.9), detunings=(-300.0, 0.0, 800.0),
+                   time_channels_per_period=17, background_rate=4.0, phase_offset=0.3,
+                   rng_seed=7), "ideal"),
+    (WIDE, ScanPlan(currents=(-0.94, -0.9), offsets=(0.15, 0.0, -0.05),
+                    time_channels_per_period=5, background_rate=4.0, phase_offset=0.3,
+                    rng_seed=3), "wavepacket"),
+], ids=["n5", "n17-background", "detuning", "wavepacket"])
+def test_scan_rows_are_point_stream_draws_around_point_means(cfg, plan, model):
+    spec = spec_from_beamline(cfg) if model == "wavepacket" else None
+    records = simulate_scan(cfg, plan, model, spec)
+    assert [(r.current, r.coord) for r in records] == [
+        (current, coord) for current in plan.currents for coord in plan.coords]
+    for index, rec in enumerate(records):
+        means = expected_channel_means(cfg, plan, rec.current, rec.coord, model, spec)
+        assert rec.counts == tuple(_point_rng(plan.rng_seed, index).poisson(means).tolist())
 
 
 def test_sampled_means_converge_to_model():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -566,6 +567,16 @@ def test_window_whose_spacing_overflows_takes_the_direct_path(quadrature_paths):
     state = initial_state(SPEC)
     z = np.r_[-1e308, np.linspace(-1e307, 1e307, 98), 1e308]
     with np.errstate(over="ignore", invalid="ignore"):
+        got = detected_intensity(state, z, 0.0, spin_projection=0.0)
+    assert quadrature_paths == ["direct"]
+    np.testing.assert_allclose(got, 1.0, rtol=1e-12)
+
+
+def test_window_whose_spacing_overflows_warns_nothing(quadrature_paths):
+    state = initial_state(SPEC)
+    z = np.r_[-1e308, np.linspace(-1e307, 1e307, 98), 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = detected_intensity(state, z, 0.0, spin_projection=0.0)
     assert quadrature_paths == ["direct"]
     np.testing.assert_allclose(got, 1.0, rtol=1e-12)
