@@ -416,6 +416,8 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
         raise ConfigError("count-ratio witness requires an offset scan")
     scan = _Scan(cfg, records, scan_kind)
     n = scan.counts.shape[1]
+    if n == 0:
+        raise ConfigError("count-ratio witness requires time channels, got 0")
     by_point = {point: row for row, point in
                 enumerate(zip(scan.currents.tolist(), scan.coords.tolist()))}
     currents = sorted({c for c, _ in by_point}, key=lambda c: (abs(c), c))

@@ -11,9 +11,10 @@ set by the detector offset (or, in detuning scans, the time-dependent phase
 origin.  Counts are Poisson draws around ``mu_i``.
 
 All P scan points' means come from one (P, n) phase grid and one ``cos``.
-Row i is drawn from its own counter-based stream (Philox keyed by the plan
-seed, counter offset by i), so counts are bit-identical for a fixed seed
-however the rows are batched; the bootstrap resamples through this row sampler.
+Row i is drawn from its own counter-based stream: one Philox bit generator,
+keyed by the plan seed, whose counter is set to i * 2^128 before row i.  Counts
+are therefore bit-identical for a fixed seed however the rows are batched; the
+bootstrap resamples through this row sampler.
 """
 
 from __future__ import annotations
@@ -183,8 +184,23 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
 
 
 def _poisson_rows(key: int, means: np.ndarray) -> np.ndarray:
-    """Poisson draws around each row of ``means``, row i from ``_point_rng(key, i)``."""
-    return np.array([_point_rng(key, i).poisson(row) for i, row in enumerate(means)])
+    """Poisson draws around each row of ``means``, row i from ``_point_rng(key, i)``.
+
+    One Philox bit generator serves every row: before row i its counter is set
+    to i * 2^128 and its buffer marked drained, which is the state
+    ``_point_rng(key, i)`` starts from, without building a generator per row.
+    """
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    state.update(buffer_pos=4, has_uint32=0)  # no buffered words carry into the next row
+    counter = state["state"]["counter"]  # four 64-bit words, lowest first; all 0 here
+    out = np.empty(means.shape, dtype=np.int64)
+    for i, row in enumerate(means):
+        counter[2] = i  # i * 2^128
+        bitgen.state = state
+        out[i] = rng.poisson(row)
+    return out
 
 
 def simulate_scan(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str = "ideal",

@@ -488,6 +488,17 @@ def test_every_route_rejects_an_empty_record_set(route):
         ROUTES[route](iter([]), "offset")
 
 
+@pytest.mark.parametrize("route, error", [
+    ("analyze_records", ConfigError),
+    ("counts_witness", ConfigError),
+    ("channel_fits_witness", FitError),
+])
+def test_records_without_time_channels_raise_a_typed_error(route, error):
+    recs = [CountsRecord(current=-0.94, coord=0.0, counts=())] * 4
+    with pytest.raises(error):
+        ROUTES[route](recs, "offset")
+
+
 def test_detuning_scan_reduces_like_offset_scan():
     plan = ScanPlan(
         currents=tuple(np.linspace(-1.0, -0.88, 13)),
@@ -522,6 +533,14 @@ def test_bootstrap_is_deterministic_and_seeded():
     b3 = bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=100, seed=2)
     assert b1.s_values == b2.s_values
     assert b1.s_values != b3.s_values
+
+
+def test_bootstrap_draws_do_not_depend_on_the_resample_count():
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
+    short = bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=100, seed=3)
+    full = bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=200, seed=3)
+    assert short.failures == full.failures == 0
+    assert short.s_values == full.s_values[:100]
 
 
 def test_bootstrap_streams_are_apart_from_simulation_streams():

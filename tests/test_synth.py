@@ -28,7 +28,8 @@ from miezesim import (
     spin_phase,
     write_counts_csv,
 )
-from miezesim.synth import _point_rng
+from miezesim.analysis import _RESAMPLE_KEY
+from miezesim.synth import _point_rng, _poisson_rows
 
 CFG = BeamlineConfig(
     wavelength=0.55e-9,
@@ -266,6 +267,33 @@ def test_scan_rows_are_point_stream_draws_around_point_means(cfg, plan, model):
     for index, rec in enumerate(records):
         means = expected_channel_means(cfg, plan, rec.current, rec.coord, model, spec)
         assert rec.counts == tuple(_point_rng(plan.rng_seed, index).poisson(means).tolist())
+
+
+# zero, small (a variable number of uniforms per draw) and large (PTRS) means
+MIXED_MEANS = np.array([np.roll([0.0, 0.3, 2.5, 9.9, 10.0, 47.0, 4300.0], i) for i in range(7)]
+                       + [[0.0] * 7, [0.7] * 7, [8600.0] * 7])
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1, _RESAMPLE_KEY | 0, _RESAMPLE_KEY | (2**64 - 1)])
+def test_poisson_rows_draw_row_i_from_point_stream_i(key):
+    rows = _poisson_rows(key, MIXED_MEANS)
+    assert rows.dtype == np.int64 and rows.shape == MIXED_MEANS.shape
+    for index, means in enumerate(MIXED_MEANS):
+        np.testing.assert_array_equal(rows[index], _point_rng(key, index).poisson(means))
+
+
+def test_scan_builds_one_bit_generator(monkeypatch):
+    plan = load_preset("cg4b-10khz").plan
+    assert plan.n_points == 104
+    built, philox = [], np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    simulate_scan(CFG, plan)
+    assert len(built) == 1
 
 
 def test_sampled_means_converge_to_model():
