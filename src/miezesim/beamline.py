@@ -31,7 +31,6 @@ from .quantum import SpinEnergyState
 
 __all__ = [
     "BeamlineConfig",
-    "PIPELINE_STAGES",
     "mieze_frequency",
     "spin_phase",
     "current_for_spin_phase",
@@ -207,9 +206,6 @@ def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> 
             f"focusing condition yields non-positive detector distance {l2!r}"
         )
     return l2
-
-
-PIPELINE_STAGES = ("psi0", "psi1", "psi_bell", "psi2", "psi3")
 
 
 def evolve_pipeline(cfg: BeamlineConfig, alpha: float, t: float) -> list[SpinEnergyState]:

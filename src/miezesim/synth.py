@@ -149,29 +149,31 @@ def _point_means(cfg: BeamlineConfig, plan: ScanPlan, current: float, coord: flo
 
 
 def _effective_contrasts(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str,
-                         packet_spec: WavePacketSpec | None) -> dict[float, float]:
+                         packet_spec: WavePacketSpec | None, coords) -> dict[float, float]:
+    """Contrast at each of ``coords``, coordinates of ``plan``, under the intensity model."""
     if intensity_model not in INTENSITY_MODELS:
         raise ConfigError(
             f"intensity_model must be one of {INTENSITY_MODELS}, got {intensity_model!r}"
         )
     if intensity_model == "ideal":
-        return {coord: cfg.contrast for coord in plan.coords}
+        return {coord: cfg.contrast for coord in coords}
     if packet_spec is None:
         raise ConfigError("wavepacket intensity model requires a packet spec")
     if plan.scan_kind == "detuning":
         offsets = [0.0]
         envelope = dict(contrast_envelope(cfg, packet_spec, offsets))
-        return {coord: cfg.contrast * envelope[0.0] for coord in plan.coords}
-    unique = list(dict.fromkeys(plan.offsets))
+        return {coord: cfg.contrast * envelope[0.0] for coord in coords}
+    unique = list(dict.fromkeys(coords))
     envelope = dict(contrast_envelope(cfg, packet_spec, unique))
-    return {coord: cfg.contrast * envelope[coord] for coord in plan.offsets}
+    return {coord: cfg.contrast * envelope[coord] for coord in coords}
 
 
 def expected_channel_means(cfg: BeamlineConfig, plan: ScanPlan, current: float,
                            coord: float, intensity_model: str = "ideal",
                            packet_spec: WavePacketSpec | None = None) -> np.ndarray:
     """Model channel means mu_i for one scan point (no sampling)."""
-    contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec)
+    wanted = [coord] if coord in plan.coords else []
+    contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec, wanted)
     if coord not in contrasts:
         raise ConfigError(f"scan coordinate {coord!r} is not part of the plan")
     return _point_means(cfg, plan, current, coord, contrasts[coord])
@@ -211,7 +213,7 @@ def simulate_scan(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str = "i
     outer, coordinates inner, and each point's draws depend only on its grid
     index.
     """
-    contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec)
+    contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec, plan.coords)
     grid = [(current, coord) for current in plan.currents for coord in plan.coords]
     currents, coords, contrast = np.array(
         [(current, coord, contrasts[coord]) for current, coord in grid]).T[..., None]
@@ -251,8 +253,9 @@ def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
         writer = csv.writer(fh)
         writer.writerow(["current_A", _COORD_COLUMNS[kind], "channel", "counts"])
         for rec in records:
-            for channel, count in enumerate(rec.counts):
-                writer.writerow([_fmt(rec.current), _fmt(rec.coord * scale), channel, count])
+            current, coord = _fmt(rec.current), _fmt(rec.coord * scale)
+            writer.writerows((current, coord, channel, count)
+                             for channel, count in enumerate(rec.counts))
     sidecar = path.with_suffix(".meta.json")
     payload = {
         "format_version": 1,

@@ -11,22 +11,23 @@ accumulated at the elements (spin-phase coil, flipper transfer phases),
 flippers, and ``Omega_b`` the accumulated energy offsets ``+- omega``.
 
 Position-space intensities are evaluated by trapezoidal quadrature of the
-oscillatory integral over a window of planes.  A long uniform window factors
-the phase over chunks of planes, so it costs two small complex matrix
-products instead of a phasor per plane and k sample; a short or non-uniform
-window is summed directly, as one complex matrix-vector product.  The
-dispersion relation is linearized about k0,
-``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``: the dropped
-quadratic term is common to both spin branches, so every relative phase,
-every branch separation and every contrast value is unaffected, while the
-integrand stays resolvable on a fixed grid.  (The packet keeps its intrinsic
-width instead of chromatically spreading; interference physics is measured
-against the intrinsic coherence length, which is exactly the comparison the
-envelope makes.)  A resolution guard raises rather than return an aliased
-quadrature whenever the factored integrand phase advances by more than pi/4
-between adjacent grid samples.  That phase is affine in z for every k, so
-over a window of planes its largest step is reached at one of the two end
-planes; the guard checks those two and gets the verdict of the whole window.
+oscillatory integral over a window of planes.  Over a long uniform window
+the sum is an entire function of the plane, so it is summed exactly at a few
+dozen Chebyshev points and interpolated to every plane, instead of a phasor
+per plane and k sample; a short or non-uniform window is summed directly, as
+one complex matrix-vector product.  The dispersion relation is linearized
+about k0, ``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``:
+the dropped quadratic term is common to both spin branches, so every
+relative phase, every branch separation and every contrast value is
+unaffected, while the integrand stays resolvable on a fixed grid.  (The
+packet keeps its intrinsic width instead of chromatically spreading;
+interference physics is measured against the intrinsic coherence length,
+which is exactly the comparison the envelope makes.)  A resolution guard
+raises rather than return an aliased quadrature whenever the factored
+integrand phase advances by more than pi/4 between adjacent grid samples.
+That phase is affine in z for every k, so over a window of planes its
+largest step is reached at one of the two end planes; the guard checks those
+two and gets the verdict of the whole window.
 
 Two detection pictures are exposed:
 
@@ -84,10 +85,12 @@ __all__ = [
 
 _MAX_PHASE_STEP = math.pi / 4.0
 _MAX_SAMPLES = 2**20
-# The factored quadrature needs at least this many planes and a bound, in
-# rad, on max|slope| * max|eps| (see _k_integral).
+# The interpolated quadrature needs at least this many planes, each within
+# this phase, in rad, of a uniform grid (see _factored_k_sum).
 _MIN_FACTORED_PLANES = 64
 _MAX_RESIDUAL_PHASE = 1e-6
+# Chebyshev terms are kept down to this fraction of sum|weights|.
+_CHEBYSHEV_TAIL = 1e-18
 
 
 class PacketShape(str, Enum):
@@ -308,46 +311,73 @@ def _phasors(u: Array, slope: Array, offset) -> Array:
 
 
 def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array | None:
-    """sum_k weights e^{i(offset + slope u)} at each u from sqrt(Z)-row phasor blocks.
+    """sum_k weights e^{i(offset + slope u)} at each u, interpolated from Chebyshev points.
 
-    None unless u is a long window, uniform to rounding (see _k_integral).
+    None, for the direct sum, unless u is a window of at least
+    ``_MIN_FACTORED_PLANES`` planes, each within ``_MAX_RESIDUAL_PHASE`` of
+    the fastest phasor from the uniform grid between its end planes, of
+    nonzero finite width, and with more planes than Chebyshev points.
+
+    With mid and h the window's centre and half-width, u = mid + h x maps it
+    onto x in [-1, 1], where the sum is F(x) = sum_k V_k e^{i a_k x} with
+    V_k = weights e^{i(offset + slope mid)} and a_k = slope h.  By
+    Jacobi-Anger F = sum_n c_n T_n(x), c_n = e_n i^n sum_k V_k J_n(a_k)
+    (e_0 = 1, e_n = 2), and |J_n(a)| <= (|a|/2)^n / n!.  With the reach
+    A = max|a_k|, the degree N is the least with (A/2)^(N+1) / (N+1)! below
+    ``_CHEBYSHEV_TAIL`` (1e-18).  Past N + 1, which then exceeds e A/2,
+    each bound is under 1/e of the one before, so the dropped terms sum to
+    less than 2 * 1e-18 / (1 - 1/e) < 3.2e-18 of sum|V|.  F is summed
+    exactly at the N + 1 Chebyshev points of the second kind, and the
+    degree-N interpolant through them, evaluated at every plane by the
+    second-kind barycentric formula (forward stable at these points), aliases
+    the dropped terms onto the kept ones, which at most doubles their error.
+    A transport window (A ~ 12) needs 41 points instead of a phasor per plane.
     """
     n = u.size
     if n < _MIN_FACTORED_PLANES:
         return None
-    rows = math.isqrt(n - 1) + 1  # B planes per chunk, B >= sqrt(Z)
-    starts = u[::rows]
+    fastest = float(np.max(np.abs(slope)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spacing gives NaN
-        within = (u[-1] - u[0]) / (n - 1) * np.arange(rows)
-        eps = u - (starts[:, None] + within).ravel()[:n]
-        if not np.max(np.abs(slope)) * np.max(np.abs(eps)) <= _MAX_RESIDUAL_PHASE:  # NaN too
+        eps = u - (u[0] + (u[-1] - u[0]) / (n - 1) * np.arange(n))
+        if not fastest * np.max(np.abs(eps)) <= _MAX_RESIDUAL_PHASE:  # NaN too
             return None
-    # One array for both blocks: two freed ~2 MB arrays made glibc trim the
-    # heap, so that the next envelope call page-faulted ~160 times.
-    both = _phasors(np.r_[starts, within], slope, 0.0)
-    chunk, shift = both[:starts.size], both[starts.size:]
-    chunk *= weights * np.exp(1j * offset)
-    # einsum, not @: threaded zgemm is ~8x faster here but ran ~200x slower in 1 of ~25 processes
-    base = np.einsum("ck,bk->cb", chunk, shift).ravel()[:n]
-    chunk *= slope
-    return base + 1j * eps * np.einsum("ck,bk->cb", chunk, shift).ravel()[:n]
+    first, last = float(u[0]), float(u[-1])  # Python floats overflow to inf silently
+    mid, half = 0.5 * (first + last), 0.5 * abs(last - first)
+    reach = fastest * half
+    if not (half > 0.0 and math.isfinite(mid) and math.isfinite(reach)):
+        return None
+    points, bound = 1, reach / 2.0  # bound = (A/2)^points / points!
+    while bound >= _CHEBYSHEV_TAIL and points < n:
+        points += 1
+        bound *= reach / 2.0 / points
+    degree = max(points - 1, 1)
+    if degree + 1 >= n:
+        return None
+    # sin, not cos, so that the points are symmetric and the middle one is 0
+    nodes = np.sin(math.pi * np.arange(degree, -degree - 1, -2) / (2 * degree))
+    # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
+    values = np.einsum("jk,k->j", _phasors(mid + half * nodes, slope, offset), weights)
+    gaps = np.subtract.outer((u - mid) / half, nodes)
+    row, col = np.nonzero(gaps == 0.0)  # a plane on a point takes its value
+    gaps[row, col] = 1.0
+    bary = np.where(np.arange(degree + 1) % 2, -1.0, 1.0)
+    bary[[0, -1]] *= 0.5
+    terms = bary / gaps
+    terms /= terms.sum(axis=1, keepdims=True)
+    out = np.einsum("zj,j->z", terms, values)
+    out[row] = values[col]
+    return out
 
 
 def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
                 u: Array, label: str) -> Array:
     """Trapezoid integral of amp e^{i(offset + slope u)} dk at each u; guarded at u's ends.
 
-    On a window of at least ``_MIN_FACTORED_PLANES`` planes that is uniform
-    to rounding, each plane is split as u_j = u_c + b du + eps_j: u_c starts
-    a chunk of B ~ sqrt(Z) planes, du is the mean spacing and eps_j the
-    rounding departure of plane j from that grid.  The sum over k is then
-    (A_c w) E_b^T + i eps_j (A_c w slope) E_b^T, with A_c = e^{i(offset +
-    slope u_c)} (C x K) and E_b = e^{i slope b du} (B x K): (C + B) K
-    exponentials and two small matrix products instead of a Z x K phasor.
-    The dropped second-order term is at most (max|slope| max|eps|)^2 / 2 of
-    the integral's absolute weight, and that product is held to
-    ``_MAX_RESIDUAL_PHASE`` (1e-6 rad, so below 5e-13).  Shorter windows,
-    such as an envelope's few offsets, and non-uniform ones take the direct
+    A window of at least ``_MIN_FACTORED_PLANES`` planes that is uniform to
+    rounding is summed at a few dozen Chebyshev points and interpolated to
+    every plane (see ``_factored_k_sum``, which states the error bound).
+    Shorter windows, such as an envelope's few offsets, non-uniform ones and
+    those that would need as many points as they have planes take the direct
     Z x K quadrature.
     """
     _guard(offset + slope * np.array([[u.min()], [u.max()]]), label)

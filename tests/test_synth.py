@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from miezesim import synth
 from miezesim import (
     PRESETS,
     BeamlineConfig,
@@ -404,6 +405,33 @@ def test_wavepacket_model_damps_contrast_off_focus():
     assert 0.5 < ratio[0] < 0.95
     envelope = dict(contrast_envelope(wide, spec, [0.15]))[0.15]
     assert math.isclose(ratio[0], envelope, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_single_offset_envelope_equals_the_plan_envelope(name):
+    rc = load_preset(name)
+    offsets = list(dict.fromkeys(rc.plan.offsets))
+    plan_envelope = contrast_envelope(rc.beamline, rc.packet, offsets)
+    assert plan_envelope == [contrast_envelope(rc.beamline, rc.packet, [offset])[0]
+                             for offset in offsets]
+
+
+def test_point_means_compute_one_envelope_offset(monkeypatch):
+    rc = load_preset("reseda")
+    calls = []
+
+    def recording_envelope(cfg, spec, deltas):
+        calls.append(list(deltas))
+        return contrast_envelope(cfg, spec, deltas)
+
+    monkeypatch.setattr(synth, "contrast_envelope", recording_envelope)
+    coord = rc.plan.offsets[-1]
+    means = expected_channel_means(rc.beamline, rc.plan, rc.plan.currents[0], coord,
+                                   "wavepacket", rc.packet)
+    assert calls == [[coord]]
+    contrast = rc.beamline.contrast * contrast_envelope(rc.beamline, rc.packet, [coord])[0][1]
+    assert np.array_equal(
+        means, synth._point_means(rc.beamline, rc.plan, rc.plan.currents[0], coord, contrast))
 
 
 # ---------------------------------------------------------------------------

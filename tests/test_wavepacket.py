@@ -622,3 +622,89 @@ def test_transport_grid_peak_memory_is_far_below_one_phasor_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def centred_window(state, t, half_width, planes):
+    center = np.mean(stationary_peak_positions(state, t))
+    return np.linspace(center - half_width, center + half_width, planes)
+
+
+def chebyshev_degree(reach):
+    # The documented rule: the least N with (A/2)^(N+1) / (N+1)! < 1e-18.
+    n = 1
+    while (reach / 2.0) ** (n + 1) / math.factorial(n + 1) >= 1e-18:
+        n += 1
+    return n
+
+
+def direct_sum(weights, offset, slope, u):
+    return np.einsum("zk,k->z", wavepacket._phasors(u, slope, offset), weights)
+
+
+def test_wide_window_matches_the_direct_path(quadrature_paths, monkeypatch):
+    # A +-0.8 um window reaches max|slope| * h ~ 47 rad, four times a
+    # transport window, and needs about 95 Chebyshev points.
+    stages, times = criterion_6_setup()
+    windows = [(stages[-1], t, centred_window(stages[-1], t, 8e-7, 401)) for t in times]
+    interpolated = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
+    assert quadrature_paths == ["factored"] * 2 * len(windows)
+    direct_only(monkeypatch)
+    for (state, t, z), fields in zip(windows, interpolated):
+        for field, want in zip(fields, wavepacket._branch_fields(state, z[::4], t)):
+            assert np.max(np.abs(field[::4] - want)) <= 1e-13 * np.max(np.abs(field))
+
+
+def test_window_needing_a_point_per_plane_takes_the_direct_path(quadrature_paths, monkeypatch):
+    # Reach ~58 rad needs more than 64 points, so 64 planes are summed directly;
+    # 401 planes over the same span take the interpolated path.
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    branch_intensities(state, centred_window(state, t, 1e-6, 401), t)
+    assert quadrature_paths == ["factored", "factored"]
+    quadrature_paths.clear()
+    z = centred_window(state, t, 1e-6, wavepacket._MIN_FACTORED_PLANES)
+    got = branch_intensities(state, z, t)
+    assert quadrature_paths == ["direct", "direct"]
+    direct_only(monkeypatch)
+    for values, want in zip(got, branch_intensities(state, z, t)):
+        assert np.array_equal(values, want)
+
+
+def test_window_of_identical_planes_takes_the_direct_path(quadrature_paths, monkeypatch):
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    z = np.full(wavepacket._MIN_FACTORED_PLANES, np.mean(stationary_peak_positions(state, t)))
+    got = branch_intensities(state, z, t)
+    assert quadrature_paths == ["direct", "direct"]
+    direct_only(monkeypatch)
+    for values, want in zip(got, branch_intensities(state, z, t)):
+        assert np.all(np.isfinite(values)) and np.array_equal(values, want)
+
+
+def test_plane_on_a_chebyshev_point_takes_its_value():
+    # Planes at exact multiples of 2^-30 m: the centre plane is the window's
+    # mid-point, which is a Chebyshev point when the degree is even.
+    rng = np.random.default_rng(11)
+    u = np.arange(-200, 201) * 2.0**-30
+    reach = 12.5
+    assert chebyshev_degree(reach) % 2 == 0
+    slope = np.linspace(-reach, reach, 512) / u[-1]
+    weights = rng.normal(size=512) + 1j * rng.normal(size=512)
+    offset = rng.uniform(-np.pi, np.pi, 512)
+    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    assert np.all(np.isfinite(got))
+    for plane in (0, 200, 400):  # both ends and the centre lie on points
+        assert got[plane] == direct_sum(weights, offset, slope, u[plane:plane + 1])[0]
+    want = direct_sum(weights, offset, slope, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
+
+
+def test_reversed_window_gives_the_reversed_result(quadrature_paths):
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+    z = transport_window(state, t)
+    forward = wavepacket._branch_fields(state, z, t)
+    backward = wavepacket._branch_fields(state, z[::-1], t)
+    assert quadrature_paths == ["factored"] * 4
+    for field, reversed_field in zip(forward, backward):
+        assert np.array_equal(reversed_field, field[::-1])
