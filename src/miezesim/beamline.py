@@ -158,14 +158,17 @@ def offset_for_energy_phase(cfg: BeamlineConfig, gamma: float) -> float:
     return -gamma * cfg.velocity / mieze_frequency(cfg)
 
 
-def energy_phase_detuning(delta_omega: float, t: float) -> float:
-    """Energy phase gamma = -2 * delta_omega * t from frequency detuning.
+def energy_phase_detuning(
+    delta_omega: float | np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
+    """Energy phase gamma = -2 * delta_omega * t from frequency detuning, elementwise.
 
     ``delta_omega`` (rad/s) is the deviation of the flipper frequency
     difference from its nominal value, with the detector kept at the focus;
-    ``t`` is the detector time coordinate of the channel being read.
+    ``t`` is the detector time coordinate of the channel being read.  Arrays
+    broadcast.
     """
-    if not math.isfinite(delta_omega) or not math.isfinite(t):
+    if not (np.all(np.isfinite(delta_omega)) and np.all(np.isfinite(t))):
         raise ValueError("detuning and time must be finite")
     return -2.0 * delta_omega * t
 
@@ -174,12 +177,13 @@ def channel_phase(cfg: BeamlineConfig, scan_kind: str, coord: float, channel, n:
     """Phase omega_m t + gamma (rad) of time channel(s) ``channel`` of ``n`` per period T.
 
     t = channel (T / n); gamma is ``energy_phase(coord)`` in offset scans and
-    -2 coord t in detuning scans.  Arrays broadcast; the caller adds alpha.
+    ``energy_phase_detuning(coord, t)`` in detuning scans.  Arrays broadcast;
+    the caller adds alpha.
     """
     omega_m = mieze_frequency(cfg)
     t = channel * (2.0 * math.pi / omega_m / n)
     if scan_kind == "detuning":
-        return omega_m * t - 2.0 * coord * t
+        return omega_m * t + energy_phase_detuning(coord, t)
     return omega_m * t + energy_phase(cfg, coord)
 
 

@@ -325,6 +325,9 @@ def read_counts_csv(path) -> CountsTable:
             count = int(row[3])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in ((header[0], current), (header[1], coord)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}:{lineno}: {name} must be finite, got {value!r}")
         grouped.setdefault((current, coord), []).append((channel, count))
     if not grouped:
         raise ConfigError(f"{path}: no data rows")

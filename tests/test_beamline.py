@@ -162,6 +162,24 @@ def test_energy_phase_detuning():
     )
 
 
+def test_energy_phase_detuning_on_arrays_equals_scalar_calls_bit_for_bit():
+    detunings = np.r_[np.linspace(-800.0, 800.0, 9), -0.0, 1e-300][:, None]
+    times = np.linspace(0.0, 1.25e-3, 7)
+    got = energy_phase_detuning(detunings, times)
+    want = np.array([[energy_phase_detuning(float(d), float(t)) for t in times]
+                     for d in detunings[:, 0]])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_energy_phase_detuning_rejects_one_non_finite_element(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        energy_phase_detuning(np.array([-300.0, bad, 800.0]), 1e-4)
+    with pytest.raises(ValueError, match="must be finite"):
+        energy_phase_detuning(500.0, np.array([0.0, bad]))
+
+
 PHASE_LAWS = {"spin_phase": spin_phase, "energy_phase": energy_phase}
 
 

@@ -287,6 +287,24 @@ def test_witness_on_zero_counts_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", [0, 1], ids=["current_A", "delta_mm"])
+def test_witness_on_non_finite_coordinate_exits_2(tmp_path, capsys, column):
+    # Every channel row of the first scan point, so that the point stays whole.
+    counts = run_simulate(tmp_path)
+    rows = [line.split(",") for line in counts.read_text().splitlines()]
+    first = rows[1][:2]
+    for row in rows[1:]:
+        if row[:2] == first:
+            row[column] = "inf"
+    counts.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    code = main(["witness", "--counts", str(counts)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {counts}:2: ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_witness_bad_channel_exits_2(tmp_path, capsys):
     counts = run_simulate(tmp_path)
     code = main(["witness", "--counts", str(counts), "--channel", "16"])

@@ -178,6 +178,25 @@ def test_chsh_bounded_over_random_states():
         assert abs(s) <= TSIRELSON_BOUND + 1e-9
 
 
+def test_chsh_value_matches_matrix_oracle_over_random_states():
+    rng = np.random.default_rng(20261018)
+    for _ in range(500):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = SpinEnergyState(raw / np.linalg.norm(raw))
+        a1, a2, g1, g2 = rng.uniform(-20.0, 20.0, 4)
+        settings = WitnessSettings(alpha1=a1, alpha2=a2, gamma1=g1, gamma2=g2)
+        e11, e12, e21, e22 = (
+            min(1.0, max(-1.0, reference_expectation(state.amplitudes, alpha, gamma)))
+            for alpha, gamma in ((a1, g1), (a1, g2), (a2, g1), (a2, g2))
+        )
+        assert abs(chsh_value(state, settings) - (e11 + e12 + e21 - e22)) < 1e-12
+
+
+def test_chsh_value_requires_normalization():
+    with pytest.raises(ValueError, match="normalized"):
+        chsh_value(SpinEnergyState([0.5, 0.0, 0.0, 0.5]), optimal_settings())
+
+
 def test_analyzer_removes_correlations():
     # projecting the spin qubit halves the flux and destroys entanglement:
     # every correlation of the renormalized state factorizes

@@ -529,6 +529,21 @@ def test_csv_reader_rejects_malformed_input(tmp_path, content, fragment):
         read_counts_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("header, row, column", [
+    ("current_A,delta_mm", "{bad},0", "current_A"),
+    ("current_A,delta_mm", "-0.94,{bad}", "delta_mm"),
+    ("current_A,detuning_rad_per_s", "-0.94,{bad}", "detuning_rad_per_s"),
+], ids=["current", "offset", "detuning"])
+def test_csv_reader_rejects_non_finite_coordinates(tmp_path, header, row, column, bad):
+    path = tmp_path / "bad.csv"
+    lines = [f"{header},channel,counts"] + [f"-0.9,0,{i},5" for i in range(4)]
+    lines += [f"{row.format(bad=bad)},{i},5" for i in range(4)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"bad.csv:6: {column} must be finite"):
+        read_counts_csv(path)
+
+
 # SHA-256 of the ideal-model counts.csv of each shipped preset at its own
 # seed.  Any change to the sampling streams or the CSV format moves these.
 GOLDEN_COUNTS_SHA256 = {

@@ -541,8 +541,8 @@ def test_factored_quadrature_matches_direct_on_transport_grids(quadrature_paths,
     factored = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
     assert quadrature_paths == ["factored"] * 2 * len(windows)
     # The direct sum at one plane does not depend on the others, so every 8th
-    # plane is checked: 8 is coprime to the 35-plane chunk, so the samples
-    # meet every chunk and every position within a chunk.
+    # plane is checked: the 151 samples run from end plane to end plane, so
+    # they test the Chebyshev interpolant across the whole window.
     direct_only(monkeypatch)
     for (state, t, z), fields in zip(windows, factored):
         for field, want in zip(fields, wavepacket._branch_fields(state, z[::8], t)):
