@@ -30,6 +30,7 @@ from miezesim import (
     write_counts_csv,
 )
 from miezesim.analysis import _RESAMPLE_KEY
+from miezesim.cli import main
 from miezesim.synth import _point_rng, _poisson_rows
 
 CFG = BeamlineConfig(
@@ -563,3 +564,40 @@ def test_preset_counts_bytes_are_pinned(tmp_path, name):
     path = tmp_path / "counts.csv"
     write_counts_csv(path, simulate_scan(rc.beamline, rc.plan), rc.plan)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COUNTS_SHA256[name]
+
+
+# SHA-256 of each shipped preset's wave-packet outputs: the counts.csv of
+# `simulate --model wavepacket` and the envelope.csv of `envelope --format
+# csv`.  Any change to the k quadrature that moves a last bit moves these.
+GOLDEN_WAVEPACKET_SHA256 = {
+    "cg4b-10khz": (
+        "0f4fa4d9cde8e9ef1f2324fc20edf6599da6651457619bc2ec88040d49b271b2",
+        "24b08bb13cef0b978eadd3e1eebe1b242a242a1e8bc458dca98831e331efc0dd",
+    ),
+    "cg4b-100khz": (
+        "b3a867f1ef64b9763be57d5ef27f6de5ce0959c2ae55663f1f367cad3170acb9",
+        "6641df3f350425f445865fbfeb29db97f1d9750afd1e2beb2c00060bd21b275f",
+    ),
+    "reseda": (
+        "c2d7ce2da57a5c514e532ff2b3619a9482b3da68b09cb93365940581273c8922",
+        "1db900ab0cf7a5045007b168f442244576c75cf9f9cd04914c6be95ae8360b8a",
+    ),
+}
+
+
+def test_golden_wavepacket_hashes_cover_every_preset():
+    assert set(GOLDEN_WAVEPACKET_SHA256) == set(PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WAVEPACKET_SHA256))
+def test_preset_wavepacket_bytes_are_pinned(tmp_path, capsys, name):
+    counts_sha, envelope_sha = GOLDEN_WAVEPACKET_SHA256[name]
+    rc = load_preset(name)
+    path = tmp_path / "counts.csv"
+    records = simulate_scan(rc.beamline, rc.plan, intensity_model="wavepacket",
+                            packet_spec=rc.packet)
+    write_counts_csv(path, records, rc.plan)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == counts_sha
+    assert main(["envelope", "--preset", name, "--out", str(tmp_path), "--format", "csv"]) == 0
+    envelope = (tmp_path / "envelope.csv").read_bytes()
+    assert hashlib.sha256(envelope).hexdigest() == envelope_sha
