@@ -331,7 +331,7 @@ def witness_from_contrast(contrast: float) -> float:
 
 
 class _Scan:
-    """A record set validated once: (P,) currents and coordinates, (P, n) counts."""
+    """A record set validated once: (P,) currents, spin phases and coordinates, (P, n) counts."""
 
     def __init__(self, cfg: BeamlineConfig, records, scan_kind: str) -> None:
         records = list(records)
@@ -344,6 +344,11 @@ class _Scan:
             raise ConfigError(f"inconsistent channel counts across points: {sorted(widths)}")
         self.cfg, self.scan_kind = cfg, scan_kind
         self.currents, self.coords = np.array([(rec.current, rec.coord) for rec in records]).T
+        with np.errstate(over="ignore"):
+            self.alphas = spin_phase(cfg, self.currents)
+        overflowed = self.currents[~np.isfinite(self.alphas)]
+        if overflowed.size:
+            raise ConfigError(f"current {float(overflowed[0])!r} A gives a non-finite spin phase")
         self.counts = np.array([rec.counts for rec in records], dtype=float)
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
@@ -351,8 +356,7 @@ class _Scan:
         n = self.counts.shape[1]
         if not (0 <= channel < n):
             raise ConfigError(f"channel {channel} out of range for {n} time channels")
-        phase = spin_phase(self.cfg, self.currents) + channel_phase(
-            self.cfg, self.scan_kind, self.coords, channel, n)
+        phase = self.alphas + channel_phase(self.cfg, self.scan_kind, self.coords, channel, n)
         counts = self.counts[:, channel]
         return phase, counts, _poisson_sigma(counts)
 
@@ -408,9 +412,13 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     For each (alpha_i, gamma_j) cell the four projector outcomes are read
     from the recorded counts whose realized phases are nearest to
     alpha_i + k pi (via the coil current) and gamma_j + l pi (via detector
-    offset and time channel), k, l in {0, 1}.  Ties prefer the smaller
-    |current|, then the smaller |offset| and channel index.  Independent
-    Poisson statistics give sigma_E^2 = (1 - E^2) / N_total.
+    offset and time channel), k, l in {0, 1}.  The (offset, channel) is
+    picked only among the offsets recorded at the picked current, so a
+    ragged table, one missing some (current, offset) points, reads only
+    recorded counts.  Ties prefer the smaller |current|, then the smaller
+    |offset| and channel index; of two values of equal magnitude, the
+    negative one.  Independent Poisson statistics give
+    sigma_E^2 = (1 - E^2) / N_total.
     """
     if scan_kind != "offset":
         raise ConfigError("count-ratio witness requires an offset scan")
@@ -420,18 +428,20 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
         raise ConfigError("count-ratio witness requires time channels, got 0")
     by_point = {point: row for row, point in
                 enumerate(zip(scan.currents.tolist(), scan.coords.tolist()))}
-    currents = sorted({c for c, _ in by_point}, key=lambda c: (abs(c), c))
+    alpha_of = dict(zip(scan.currents.tolist(), scan.alphas.tolist()))
+    currents = sorted(alpha_of, key=lambda c: (abs(c), c))
     offsets = sorted({d for _, d in by_point}, key=lambda d: (abs(d), d))
-    alphas = list(zip(spin_phase(cfg, np.array(currents)).tolist(), currents))
 
     def pick_current(target: float) -> float:
-        return min(alphas, key=lambda ac: (_wrap_distance(ac[0], target), abs(ac[1])))[1]
+        return min(currents, key=lambda c: (_wrap_distance(alpha_of[c], target), abs(c)))
 
     phases = channel_phase(cfg, "offset", np.array(offsets)[:, None], np.arange(n), n).tolist()
 
-    def pick_gamma(target: float) -> tuple[float, int]:
+    def pick_gamma(current: float, target: float) -> tuple[float, int]:
         best = None
         for delta, row in zip(offsets, phases):
+            if (current, delta) not in by_point:
+                continue
             for ch, value in enumerate(row):
                 key = (_wrap_distance(value, target), abs(delta), ch)
                 if best is None or key < best[0]:
@@ -446,7 +456,7 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
             for k in (0, 1):
                 current = pick_current(alpha + k * math.pi)
                 for l in (0, 1):
-                    delta, ch = pick_gamma(gamma + l * math.pi)
+                    delta, ch = pick_gamma(current, gamma + l * math.pi)
                     outcome_counts[(k, l)] = float(scan.counts[by_point[(current, delta)], ch])
             e[i, j] = expectation_from_counts(outcome_counts)
             total = sum(outcome_counts.values())

@@ -118,8 +118,6 @@ class BeamlineConfig:
 
 def mieze_frequency(cfg: BeamlineConfig) -> float:
     """Intensity beat frequency omega_m = 2 (omega2 - omega1), rad/s."""
-    if cfg.f2 <= cfg.f1:
-        raise PhysicsError("f2 must exceed f1")
     return 2.0 * (cfg.omega2 - cfg.omega1)
 
 
@@ -197,8 +195,6 @@ def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> 
     Independent of wavelength.  Raises PhysicsError when the geometry has no
     positive solution.
     """
-    if cfg.f2 <= cfg.f1:
-        raise PhysicsError("f2 must exceed f1; focusing distance diverges")
     if not math.isfinite(coil_field_integral):
         raise ValueError(f"field integral must be finite, got {coil_field_integral!r}")
     gamma_n = CODATA2018.gyromagnetic_ratio

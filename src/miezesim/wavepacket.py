@@ -11,12 +11,13 @@ accumulated at the elements (spin-phase coil, flipper transfer phases),
 flippers, and ``Omega_b`` the accumulated energy offsets ``+- omega``.
 
 Position-space intensities are evaluated by trapezoidal quadrature of the
-oscillatory integral over a window of planes.  Over a long uniform window
-the sum is an entire function of the plane, so it is summed exactly at a few
-dozen Chebyshev points and interpolated to every plane, instead of a phasor
-per plane and k sample; a short or non-uniform window is summed directly, as
-one complex matrix-vector product.  The dispersion relation is linearized
-about k0, ``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``:
+oscillatory integral over a window of planes.  The sum is an entire
+function of the plane, so a window with more planes than the Chebyshev
+points its phase reach needs is summed exactly at those points and
+interpolated to every plane, instead of a phasor per plane and k sample;
+any other window is summed directly, as one complex matrix-vector product.
+The dispersion relation is linearized about k0,
+``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``:
 the dropped quadratic term is common to both spin branches, so every
 relative phase, every branch separation and every contrast value is
 unaffected, while the integrand stays resolvable on a fixed grid.  (The
@@ -85,10 +86,6 @@ __all__ = [
 
 _MAX_PHASE_STEP = math.pi / 4.0
 _MAX_SAMPLES = 2**20
-# The interpolated quadrature needs at least this many planes, each within
-# this phase, in rad, of a uniform grid (see _factored_k_sum).
-_MIN_FACTORED_PLANES = 64
-_MAX_RESIDUAL_PHASE = 1e-6
 # Chebyshev terms are kept down to this fraction of sum|weights|.
 _CHEBYSHEV_TAIL = 1e-18
 
@@ -313,10 +310,10 @@ def _phasors(u: Array, slope: Array, offset) -> Array:
 def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array | None:
     """sum_k weights e^{i(offset + slope u)} at each u, interpolated from Chebyshev points.
 
-    None, for the direct sum, unless u is a window of at least
-    ``_MIN_FACTORED_PLANES`` planes, each within ``_MAX_RESIDUAL_PHASE`` of
-    the fastest phasor from the uniform grid between its end planes, of
-    nonzero finite width, and with more planes than Chebyshev points.
+    None, for the direct sum, when the window is of zero or non-finite width
+    or needs as many Chebyshev points as it has planes.  The planes may come
+    in any order and at any spacing: the interpolant holds anywhere inside
+    the window.
 
     With mid and h the window's centre and half-width, u = mid + h x maps it
     onto x in [-1, 1], where the sum is F(x) = sum_k V_k e^{i a_k x} with
@@ -334,16 +331,9 @@ def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Ar
     A transport window (A ~ 12) needs 41 points instead of a phasor per plane.
     """
     n = u.size
-    if n < _MIN_FACTORED_PLANES:
-        return None
-    fastest = float(np.max(np.abs(slope)))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spacing gives NaN
-        eps = u - (u[0] + (u[-1] - u[0]) / (n - 1) * np.arange(n))
-        if not fastest * np.max(np.abs(eps)) <= _MAX_RESIDUAL_PHASE:  # NaN too
-            return None
-    first, last = float(u[0]), float(u[-1])  # Python floats overflow to inf silently
-    mid, half = 0.5 * (first + last), 0.5 * abs(last - first)
-    reach = fastest * half
+    low, high = float(u.min()), float(u.max())  # Python floats overflow to inf silently
+    mid, half = 0.5 * (low + high), 0.5 * (high - low)
+    reach = float(np.max(np.abs(slope))) * half
     if not (half > 0.0 and math.isfinite(mid) and math.isfinite(reach)):
         return None
     points, bound = 1, reach / 2.0  # bound = (A/2)^points / points!
@@ -373,12 +363,10 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
                 u: Array, label: str) -> Array:
     """Trapezoid integral of amp e^{i(offset + slope u)} dk at each u; guarded at u's ends.
 
-    A window of at least ``_MIN_FACTORED_PLANES`` planes that is uniform to
-    rounding is summed at a few dozen Chebyshev points and interpolated to
-    every plane (see ``_factored_k_sum``, which states the error bound).
-    Shorter windows, such as an envelope's few offsets, non-uniform ones and
-    those that would need as many points as they have planes take the direct
-    Z x K quadrature.
+    A window with more planes than the Chebyshev points its phase reach
+    needs is summed at those points and interpolated to every plane (see
+    ``_factored_k_sum``, which states the error bound).  Any other window,
+    such as an envelope's few offsets, takes the direct Z x K quadrature.
     """
     _guard(offset + slope * np.array([[u.min()], [u.max()]]), label)
     half = np.diff(state.k) / 2.0

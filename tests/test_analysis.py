@@ -1,6 +1,7 @@
 """Cosine fitting, correlation grids, witness routes, bootstrap errors."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,20 +23,26 @@ from miezesim import (
     channel_fits_witness,
     classify,
     counts_witness,
+    current_for_spin_phase,
+    energy_phase,
+    expectation_from_counts,
     expectation_grid,
     expected_channel_means,
     fit_global,
     fit_time_series,
     load_preset,
     mieze_frequency,
+    offset_for_energy_phase,
     optimal_settings,
     simulate_scan,
     single_channel_points,
+    spin_phase,
     witness,
     witness_from_contrast,
     witness_from_fit,
 )
 from miezesim.analysis import _fit_cosines, _resample_rng
+from miezesim.beamline import channel_phase
 from miezesim.synth import _point_rng
 
 CFG = BeamlineConfig(
@@ -424,6 +431,87 @@ def test_count_route_requires_offset_scan():
         counts_witness(CFG, recs, SETTINGS, scan_kind="detuning")
 
 
+def tie_table(currents, offsets, n=5, drop=()):
+    """Counts per (current, offset), each of its n channels a distinct count."""
+    values = iter((np.random.default_rng(3).permutation(len(currents) * len(offsets) * n)
+                   + 10).tolist())
+    table = {(cur, off): tuple(next(values) for _ in range(n))
+             for cur in currents for off in offsets}
+    return {point: counts for point, counts in table.items() if point not in drop}
+
+
+def count_route_e(table, alpha, gamma):
+    """The count route's E on ``table`` with both alphas at alpha, both gammas at gamma."""
+    records = [CountsRecord(current=cur, coord=off, counts=counts)
+               for (cur, off), counts in table.items()]
+    e = counts_witness(CFG, records, WitnessSettings(alpha, alpha, gamma, gamma)).e_matrix
+    assert np.all(e == e[0, 0])
+    return e[0, 0]
+
+
+def e_of_reads(table, reads):
+    """E from the counts at each (k, l)'s (current, offset, channel)."""
+    return expectation_from_counts({kl: table[(cur, off)][ch]
+                                    for kl, (cur, off, ch) in reads.items()})
+
+
+# Exact ties at a target of the count route: guide_bl = 0 makes spin and
+# energy phases odd in current and offset, and doubling a current or an
+# offset doubles its phase exactly, so both of a pair lie 1.5 p from -p/2.
+# The targets pi further on are won outright by a current and an offset
+# placed there.
+C_TIE = 1e-3
+C_PI = current_for_spin_phase(CFG, math.pi)
+D_TIE = 1e-3
+D_PI = offset_for_energy_phase(CFG, math.pi / 5)  # its channel 2 of 5 lies at pi
+
+
+@pytest.mark.parametrize("case", ["sign", "magnitude", "channel"])
+def test_count_route_breaks_exact_ties_in_the_documented_order(case):
+    # sign: of +-c and +-d, the negative one; magnitude: of c and -2c, and
+    # of d and -2d, the smaller; channel: of two channels of one offset, the
+    # lower.  Each (current, offset, channel) holds a distinct count.
+    if case == "sign":
+        table = tie_table([-C_TIE, C_TIE, C_PI], [-D_TIE, D_TIE, D_PI])
+        alpha = gamma = 0.0
+        (cur, off, ch), (lost_cur, lost_off, lost_ch) = (-C_TIE, -D_TIE, 0), (C_TIE, D_TIE, 0)
+    elif case == "magnitude":
+        table = tie_table([C_TIE, -2 * C_TIE, C_PI], [D_TIE, -2 * D_TIE, D_PI])
+        alpha, gamma = -spin_phase(CFG, C_TIE) / 2, -energy_phase(CFG, D_TIE) / 2
+        (cur, off, ch) = (C_TIE, D_TIE, 0)
+        (lost_cur, lost_off, lost_ch) = (-2 * C_TIE, -2 * D_TIE, 0)
+    else:
+        table = tie_table([0.0, C_PI], [0.0])
+        alpha, gamma = 0.0, channel_phase(CFG, "offset", 0.0, 1, 5) / 2
+        (cur, off, ch), (lost_cur, lost_off, lost_ch) = (0.0, 0.0, 0), (0.0, 0.0, 1)
+    at_pi = (0.0, 3) if case == "channel" else (D_PI, 2)
+    want = e_of_reads(table, {(0, 0): (cur, off, ch), (0, 1): (cur, *at_pi),
+                              (1, 0): (C_PI, off, ch), (1, 1): (C_PI, *at_pi)})
+    assert count_route_e(table, alpha, gamma) == want
+    assert e_of_reads(table, {(0, 0): (lost_cur, lost_off, lost_ch), (0, 1): (lost_cur, *at_pi),
+                              (1, 0): (C_PI, lost_off, lost_ch), (1, 1): (C_PI, *at_pi)}) != want
+
+
+def test_count_route_reads_only_offsets_recorded_at_the_picked_current():
+    # The tied point (-c, -d) is missing, so at -c the route reads +d, while
+    # the pi current, recorded at every offset, still reads -d.
+    table = tie_table([-C_TIE, C_TIE, C_PI], [-D_TIE, D_TIE, D_PI], drop={(-C_TIE, -D_TIE)})
+    want = e_of_reads(table, {(0, 0): (-C_TIE, D_TIE, 0), (0, 1): (-C_TIE, D_PI, 2),
+                              (1, 0): (C_PI, -D_TIE, 0), (1, 1): (C_PI, D_PI, 2)})
+    assert count_route_e(table, 0.0, 0.0) == want
+
+
+def test_count_route_reduces_a_ragged_preset_table():
+    rc = load_preset("cg4b-10khz")
+    recs = simulate_scan(rc.beamline, rc.plan)
+    full = counts_witness(rc.beamline, recs, rc.settings)
+    ragged = [rec for rec in recs if (rec.current, rec.coord) != (-0.96, 0.005)]
+    assert len(ragged) == len(recs) - 1
+    result = counts_witness(rc.beamline, ragged, rc.settings)
+    assert result.classification == full.classification == "quantum"
+    assert abs(result.s - full.s) < 3.0 * math.hypot(result.sigma_s, full.sigma_s)
+
+
 def test_channel_route_agrees_with_single_channel_route():
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
     report = analyze_records(CFG, recs, SETTINGS)
@@ -486,6 +574,16 @@ def test_every_route_rejects_an_unknown_scan_kind(route):
 def test_every_route_rejects_an_empty_record_set(route):
     with pytest.raises(ConfigError, match="no records"):
         ROUTES[route](iter([]), "offset")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_a_current_whose_spin_phase_overflows(route):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    recs[3] = replace(recs[3], current=1e305)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"current 1e\+305 A gives a non-finite spin phase"):
+            ROUTES[route](recs, "offset")
 
 
 @pytest.mark.parametrize("route, error", [

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,40 @@ def test_witness_on_non_finite_coordinate_exits_2(tmp_path, capsys, column):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {counts}:2: ") and "must be finite" in err
     assert "Traceback" not in err
+
+
+def test_witness_on_a_current_whose_spin_phase_overflows_exits_2(tmp_path, capsys):
+    counts = run_simulate(tmp_path)
+    rows = [line.split(",") for line in counts.read_text().splitlines()]
+    first = rows[1][:2]
+    for row in rows[1:]:
+        if row[:2] == first:
+            row[0] = "1e305"
+    counts.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["witness", "--counts", str(counts)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: current 1e+305 A gives a non-finite spin phase")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_witness_on_a_ragged_table_exits_0(tmp_path, capsys):
+    # The preset's point (-0.96 A, +5 mm) is missing, one its count route reads.
+    out = tmp_path / "sim"
+    assert main(["simulate", "--preset", "cg4b-10khz", "--out", str(out)]) == 0
+    counts = out / "counts.csv"
+    header, *rows = counts.read_text().splitlines(keepends=True)
+    kept = [row for row in rows if [float(v) for v in row.split(",")[:2]] != [-0.96, 5.0]]
+    assert len(kept) == len(rows) - 16
+    counts.write_text(header + "".join(kept))
+    capsys.readouterr()
+    assert main(["witness", "--counts", str(counts), "--out", str(tmp_path / "wit")]) == 0
+    captured = capsys.readouterr()
+    assert "count-ratio route: S = " in captured.out
+    assert captured.err == ""
 
 
 def test_witness_bad_channel_exits_2(tmp_path, capsys):

@@ -507,7 +507,8 @@ def test_length_one_z_array_returns_an_array():
 
 
 # ---------------------------------------------------------------------------
-# the two quadrature paths: factored over a long uniform window, direct otherwise
+# the two quadrature paths: interpolated from Chebyshev points over a window
+# with more planes than the points it needs, direct otherwise
 
 
 @pytest.fixture
@@ -549,16 +550,30 @@ def test_factored_quadrature_matches_direct_on_transport_grids(quadrature_paths,
             assert np.max(np.abs(field[::8] - want)) <= 1e-13 * np.max(np.abs(field))
 
 
-def test_nudged_window_falls_back_to_the_direct_path(quadrature_paths, monkeypatch):
+def test_nudged_non_uniform_and_unsorted_windows_are_interpolated(quadrature_paths, monkeypatch):
+    # The interpolant holds at any plane inside the window, so a window need
+    # be neither uniform nor sorted, and 42 planes suffice where 41 Chebyshev
+    # points do (a transport window's reach is about 11.6 rad).
     stages, times = criterion_6_setup()
     state, t = stages[-1], times[-1]
-    z = transport_window(state, t, 201)
-    z[100] += 1e-12
-    got = branch_intensities(state, z, t)
-    assert quadrature_paths == ["direct", "direct"]
+    rng = np.random.default_rng(13)
+    uniform = transport_window(state, t, 201)
+    nudged = uniform.copy()
+    nudged[100] += 1e-12
+    windows = [
+        nudged,
+        np.r_[uniform[0], np.sort(rng.uniform(uniform[0], uniform[-1], 199)), uniform[-1]],
+        rng.uniform(uniform[0], uniform[-1], 201),
+        rng.permutation(uniform),
+        transport_window(state, t, 42),
+        transport_window(state, t, 63),
+    ]
+    interpolated = [wavepacket._branch_fields(state, z, t) for z in windows]
+    assert quadrature_paths == ["factored"] * 2 * len(windows)
     direct_only(monkeypatch)
-    for values, want in zip(got, branch_intensities(state, z, t)):
-        assert np.array_equal(values, want)
+    for z, fields in zip(windows, interpolated):
+        for field, want in zip(fields, wavepacket._branch_fields(state, z, t)):
+            assert np.max(np.abs(field - want)) <= 1e-13 * np.max(np.abs(field))
 
 
 def test_window_whose_spacing_overflows_takes_the_direct_path(quadrature_paths):
@@ -583,21 +598,19 @@ def test_window_whose_spacing_overflows_warns_nothing(quadrature_paths):
 
 
 def test_short_window_takes_the_direct_path(quadrature_paths, monkeypatch):
-    stages, times = criterion_6_setup()
-    state, t = stages[-1], times[-1]
-    branch_intensities(state, transport_window(state, t, wavepacket._MIN_FACTORED_PLANES), t)
-    assert quadrature_paths == ["factored", "factored"]
-    quadrature_paths.clear()
-    z = transport_window(state, t, wavepacket._MIN_FACTORED_PLANES - 1)
-    got = branch_intensities(state, z, t)
-    rc = load_preset("cg4b-10khz")
-    deltas = sorted(set(rc.plan.offsets) | {0.0})
-    envelope = contrast_envelope(rc.beamline, rc.packet, deltas)
-    assert quadrature_paths == ["direct"] * 3
+    # Each preset's plan envelope and 15-offset default envelope: 9 or 15
+    # offsets that need 23 to 73 Chebyshev points.
+    windows = []
+    for name in sorted(PRESETS):
+        rc = load_preset(name)
+        for deltas in (sorted(set(rc.plan.offsets) | {0.0}),
+                       [(-35.0 + 5.0 * i) * 1e-3 for i in range(15)]):
+            windows.append((rc, deltas))
+    envelopes = [contrast_envelope(rc.beamline, rc.packet, deltas) for rc, deltas in windows]
+    assert quadrature_paths == ["direct"] * len(windows)
     direct_only(monkeypatch)
-    for values, want in zip(got, branch_intensities(state, z, t)):
-        assert np.array_equal(values, want)
-    assert envelope == contrast_envelope(rc.beamline, rc.packet, deltas)
+    for (rc, deltas), envelope in zip(windows, envelopes):
+        assert envelope == contrast_envelope(rc.beamline, rc.packet, deltas)
 
 
 def test_detected_intensity_on_a_uniform_window_matches_the_direct_path(quadrature_paths):
@@ -662,7 +675,7 @@ def test_window_needing_a_point_per_plane_takes_the_direct_path(quadrature_paths
     branch_intensities(state, centred_window(state, t, 1e-6, 401), t)
     assert quadrature_paths == ["factored", "factored"]
     quadrature_paths.clear()
-    z = centred_window(state, t, 1e-6, wavepacket._MIN_FACTORED_PLANES)
+    z = centred_window(state, t, 1e-6, 64)
     got = branch_intensities(state, z, t)
     assert quadrature_paths == ["direct", "direct"]
     direct_only(monkeypatch)
@@ -673,7 +686,7 @@ def test_window_needing_a_point_per_plane_takes_the_direct_path(quadrature_paths
 def test_window_of_identical_planes_takes_the_direct_path(quadrature_paths, monkeypatch):
     stages, times = criterion_6_setup()
     state, t = stages[-1], times[-1]
-    z = np.full(wavepacket._MIN_FACTORED_PLANES, np.mean(stationary_peak_positions(state, t)))
+    z = np.full(64, np.mean(stationary_peak_positions(state, t)))
     got = branch_intensities(state, z, t)
     assert quadrature_paths == ["direct", "direct"]
     direct_only(monkeypatch)
