@@ -466,30 +466,29 @@ D_TIE = 1e-3
 D_PI = offset_for_energy_phase(CFG, math.pi / 5)  # its channel 2 of 5 lies at pi
 
 
-@pytest.mark.parametrize("case", ["sign", "magnitude", "channel"])
-def test_count_route_breaks_exact_ties_in_the_documented_order(case):
-    # sign: of +-c and +-d, the negative one; magnitude: of c and -2c, and
-    # of d and -2d, the smaller; channel: of two channels of one offset, the
-    # lower.  Each (current, offset, channel) holds a distinct count.
-    if case == "sign":
-        table = tie_table([-C_TIE, C_TIE, C_PI], [-D_TIE, D_TIE, D_PI])
-        alpha = gamma = 0.0
-        (cur, off, ch), (lost_cur, lost_off, lost_ch) = (-C_TIE, -D_TIE, 0), (C_TIE, D_TIE, 0)
-    elif case == "magnitude":
-        table = tie_table([C_TIE, -2 * C_TIE, C_PI], [D_TIE, -2 * D_TIE, D_PI])
-        alpha, gamma = -spin_phase(CFG, C_TIE) / 2, -energy_phase(CFG, D_TIE) / 2
-        (cur, off, ch) = (C_TIE, D_TIE, 0)
-        (lost_cur, lost_off, lost_ch) = (-2 * C_TIE, -2 * D_TIE, 0)
-    else:
-        table = tie_table([0.0, C_PI], [0.0])
-        alpha, gamma = 0.0, channel_phase(CFG, "offset", 0.0, 1, 5) / 2
-        (cur, off, ch), (lost_cur, lost_off, lost_ch) = (0.0, 0.0, 0), (0.0, 0.0, 1)
-    at_pi = (0.0, 3) if case == "channel" else (D_PI, 2)
-    want = e_of_reads(table, {(0, 0): (cur, off, ch), (0, 1): (cur, *at_pi),
-                              (1, 0): (C_PI, off, ch), (1, 1): (C_PI, *at_pi)})
+def cell_reads(cur, off, ch, at_pi):
+    """(k, l) reads of a cell whose 0 targets pick (cur, off, ch) and pi targets C_PI, at_pi."""
+    return {(0, 0): (cur, off, ch), (0, 1): (cur, *at_pi),
+            (1, 0): (C_PI, off, ch), (1, 1): (C_PI, *at_pi)}
+
+
+# sign: of +-c and of +-d, the negative one; magnitude: of c and -2c, and of
+# d and -2d, the smaller; channel: of two channels of one offset, the lower.
+@pytest.mark.parametrize("currents, offsets, alpha, gamma, won, lost, at_pi", [
+    pytest.param([-C_TIE, C_TIE, C_PI], [-D_TIE, D_TIE, D_PI], 0.0, 0.0,
+                 (-C_TIE, -D_TIE, 0), (C_TIE, D_TIE, 0), (D_PI, 2), id="sign"),
+    pytest.param([C_TIE, -2 * C_TIE, C_PI], [D_TIE, -2 * D_TIE, D_PI],
+                 -spin_phase(CFG, C_TIE) / 2, -energy_phase(CFG, D_TIE) / 2,
+                 (C_TIE, D_TIE, 0), (-2 * C_TIE, -2 * D_TIE, 0), (D_PI, 2), id="magnitude"),
+    pytest.param([0.0, C_PI], [0.0], 0.0, channel_phase(CFG, "offset", 0.0, 1, 5) / 2,
+                 (0.0, 0.0, 0), (0.0, 0.0, 1), (0.0, 3), id="channel"),
+])
+def test_count_route_breaks_exact_ties_in_the_documented_order(currents, offsets, alpha, gamma,
+                                                               won, lost, at_pi):
+    table = tie_table(currents, offsets)
+    want = e_of_reads(table, cell_reads(*won, at_pi))
     assert count_route_e(table, alpha, gamma) == want
-    assert e_of_reads(table, {(0, 0): (lost_cur, lost_off, lost_ch), (0, 1): (lost_cur, *at_pi),
-                              (1, 0): (C_PI, lost_off, lost_ch), (1, 1): (C_PI, *at_pi)}) != want
+    assert e_of_reads(table, cell_reads(*lost, at_pi)) != want
 
 
 def test_count_route_reads_only_offsets_recorded_at_the_picked_current():
