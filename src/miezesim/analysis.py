@@ -350,13 +350,24 @@ class _Scan:
         if overflowed.size:
             raise ConfigError(f"current {float(overflowed[0])!r} A gives a non-finite spin phase")
         self.counts = np.array([rec.counts for rec in records], dtype=float)
+        n = self.counts.shape[1]
+        # (P, n) phases omega_m t + gamma of every channel at every point
+        self.phases = np.zeros_like(self.counts)
+        if n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.phases = channel_phase(cfg, scan_kind, self.coords[:, None], np.arange(n), n)
+        overflowed = self.coords[~np.isfinite(self.phases).all(axis=1)]
+        if overflowed.size:
+            name, unit = ("detuning", "rad/s") if scan_kind == "detuning" else ("offset", "m")
+            raise ConfigError(
+                f"{name} {float(overflowed[0])!r} {unit} gives a non-finite energy phase")
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""
         n = self.counts.shape[1]
         if not (0 <= channel < n):
             raise ConfigError(f"channel {channel} out of range for {n} time channels")
-        phase = self.alphas + channel_phase(self.cfg, self.scan_kind, self.coords, channel, n)
+        phase = self.alphas + self.phases[:, channel]
         counts = self.counts[:, channel]
         return phase, counts, _poisson_sigma(counts)
 
@@ -435,7 +446,8 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     def pick_current(target: float) -> float:
         return min(currents, key=lambda c: (_wrap_distance(alpha_of[c], target), abs(c)))
 
-    phases = channel_phase(cfg, "offset", np.array(offsets)[:, None], np.arange(n), n).tolist()
+    phase_of = dict(zip(scan.coords.tolist(), scan.phases.tolist()))
+    phases = [phase_of[delta] for delta in offsets]
 
     def pick_gamma(current: float, target: float) -> tuple[float, int]:
         best = None

@@ -16,6 +16,10 @@ function of the plane, so a window with more planes than the Chebyshev
 points its phase reach needs is summed exactly at those points and
 interpolated to every plane, instead of a phasor per plane and k sample;
 any other window is summed directly, as one complex matrix-vector product.
+The points come in +-x pairs, so their N + 1 values take K complex
+exponentials and floor(N/2) + 1 real cos and sin rows instead of N + 1
+complex phasor rows; a plane that lies exactly on a point takes the direct
+sum there.
 The dispersion relation is linearized about k0,
 ``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``:
 the dropped quadratic term is common to both spin branches, so every
@@ -307,6 +311,12 @@ def _phasors(u: Array, slope: Array, offset) -> Array:
     return np.exp(out, out=out)
 
 
+def _direct_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array:
+    """sum_k weights e^{i(offset + slope u)} at each u, one phasor row per plane."""
+    # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
+    return np.einsum("zk,k->z", _phasors(u, slope, offset), weights)
+
+
 def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array | None:
     """sum_k weights e^{i(offset + slope u)} at each u, interpolated from Chebyshev points.
 
@@ -328,7 +338,16 @@ def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Ar
     degree-N interpolant through them, evaluated at every plane by the
     second-kind barycentric formula (forward stable at these points), aliases
     the dropped terms onto the kept ones, which at most doubles their error.
-    A transport window (A ~ 12) needs 41 points instead of a phasor per plane.
+
+    The points are sin(pi m / 2N), m = N, N - 2, ..., -N: the floor(N/2) + 1
+    with x >= 0 and the exact negatives of those with x > 0.  As
+    F(+-x) = sum_k V_k cos(a_k x) +- i sum_k V_k sin(a_k x), one real cos row
+    and one real sin row per point x >= 0, dotted with the real and imaginary
+    parts of V, give both values of a pair; with the K complex exponentials
+    of V that is about half the transcendentals of N + 1 complex phasor rows.
+    A transport window (A ~ 12) needs 41 points, so 21 cos and sin rows,
+    instead of a phasor per plane.  A plane that lies exactly on a point
+    takes the direct sum there, one phasor row per such plane.
     """
     n = u.size
     low, high = float(u.min()), float(u.max())  # Python floats overflow to inf silently
@@ -343,19 +362,30 @@ def _factored_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Ar
     degree = max(points - 1, 1)
     if degree + 1 >= n:
         return None
-    # sin, not cos, so that the points are symmetric and the middle one is 0
-    nodes = np.sin(math.pi * np.arange(degree, -degree - 1, -2) / (2 * degree))
-    # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
-    values = np.einsum("jk,k->j", _phasors(mid + half * nodes, slope, offset), weights)
+    # sin, not cos, so that the points are symmetric and the middle one is 0;
+    # the points x >= 0 in descending order, then their exact negatives
+    upper = np.sin(math.pi * np.arange(degree, -1, -2) / (2 * degree))
+    lower = upper[:(degree + 1) // 2][::-1]
+    nodes = np.r_[upper, -lower]
+    v = weights * np.exp(1j * (offset + slope * mid))
+    trig = np.empty((2, upper.size, slope.size))
+    np.multiply.outer(upper, slope * half, out=trig[1])
+    np.cos(trig[1], out=trig[0])
+    np.sin(trig[1], out=trig[1])
+    trig = trig.reshape(-1, slope.size)
+    # two real einsums against contiguous parts: a real x complex one casts trig
+    re, im = (np.einsum("jk,k->j", trig, np.ascontiguousarray(part)) for part in (v.real, v.imag))
+    cos_sum, sin_sum = (re + 1j * im).reshape(2, -1)
+    values = np.r_[cos_sum + 1j * sin_sum, (cos_sum - 1j * sin_sum)[:lower.size][::-1]]
     gaps = np.subtract.outer((u - mid) / half, nodes)
-    row, col = np.nonzero(gaps == 0.0)  # a plane on a point takes its value
+    row, col = np.nonzero(gaps == 0.0)  # a plane on a point takes the direct sum there
     gaps[row, col] = 1.0
     bary = np.where(np.arange(degree + 1) % 2, -1.0, 1.0)
     bary[[0, -1]] *= 0.5
     terms = bary / gaps
     terms /= terms.sum(axis=1, keepdims=True)
     out = np.einsum("zj,j->z", terms, values)
-    out[row] = values[col]
+    out[row] = _direct_sum(weights, offset, slope, u[row])
     return out
 
 
@@ -374,8 +404,7 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
     factored = _factored_k_sum(weights, offset, slope, u)
     if factored is not None:
         return factored
-    # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
-    return np.einsum("zk,k->z", _phasors(u, slope, offset), weights)
+    return _direct_sum(weights, offset, slope, u)
 
 
 def _branch_fields(state: PacketState, z, t: float) -> tuple[Array, Array]:
@@ -414,11 +443,11 @@ def position_intensity(state: PacketState, z, t: float,
     (|up> + exp(i theta)|down>)/sqrt(2) first (the analyzer); otherwise the
     two branch intensities are summed.
     """
+    if spin_projection is not None and not math.isfinite(spin_projection):
+        raise ValueError("spin projection angle must be finite")
     up, down = _branch_fields(state, z, t)
     if spin_projection is None:
         return _shaped_like(z, np.abs(up) ** 2 + np.abs(down) ** 2)
-    if not math.isfinite(spin_projection):
-        raise ValueError("spin projection angle must be finite")
     amp = (up + np.exp(-1j * spin_projection) * down) / math.sqrt(2.0)
     return _shaped_like(z, np.abs(amp) ** 2)
 

@@ -1,6 +1,7 @@
 """Cosine fitting, correlation grids, witness routes, bootstrap errors."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -583,6 +584,42 @@ def test_every_route_rejects_a_current_whose_spin_phase_overflows(route):
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=r"current 1e\+305 A gives a non-finite spin phase"):
             ROUTES[route](recs, "offset")
+
+
+DETUNING_PLAN = ScanPlan(
+    currents=tuple(np.linspace(-1.0, -0.88, 13)),
+    detunings=tuple(np.linspace(-400.0, 400.0, 9)),
+    counts_scale=8600.0,
+    rng_seed=5,
+)
+
+
+@pytest.mark.parametrize("kind, coord", [
+    ("offset", 1e305), ("offset", -1e305), ("detuning", 1e308), ("detuning", -1e308),
+])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_a_coordinate_whose_energy_phase_overflows(route, kind, coord):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0) if kind == "offset" else DETUNING_PLAN)
+    recs[3] = replace(recs[3], coord=coord)
+    unit = "m" if kind == "offset" else "rad/s"
+    message = re.escape(f"{kind} {coord!r} {unit} gives a non-finite energy phase")
+    if route == "counts_witness" and kind == "detuning":
+        message = "requires an offset scan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=message):
+            ROUTES[route](recs, kind)
+
+
+@pytest.mark.parametrize("kind", ["offset", "detuning"])
+def test_channel_points_equal_the_phase_law_of_each_channel(kind):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0) if kind == "offset" else DETUNING_PLAN)
+    alphas = spin_phase(CFG, np.array([rec.current for rec in recs]))
+    coords = np.array([rec.coord for rec in recs])
+    for channel in range(16):
+        phases = [point[0] for point in single_channel_points(CFG, recs, channel, kind)]
+        want = alphas + channel_phase(CFG, kind, coords, channel, 16)
+        assert np.array_equal(phases, want)
 
 
 @pytest.mark.parametrize("route, error", [

@@ -324,6 +324,24 @@ def test_witness_on_a_current_whose_spin_phase_overflows_exits_2(tmp_path, capsy
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+def test_witness_on_an_offset_whose_energy_phase_overflows_exits_2(tmp_path, capsys):
+    counts = run_simulate(tmp_path)
+    rows = [line.split(",") for line in counts.read_text().splitlines()]
+    first = rows[1][:2]
+    for row in rows[1:]:
+        if row[:2] == first:
+            row[1] = "1e308"
+    counts.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["witness", "--counts", str(counts)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: offset 1e+305 m gives a non-finite energy phase")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 def test_witness_on_a_ragged_table_exits_0(tmp_path, capsys):
     # The preset's point (-0.96 A, +5 mm) is missing, one its count route reads.
     out = tmp_path / "sim"

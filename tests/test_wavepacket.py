@@ -721,3 +721,98 @@ def test_reversed_window_gives_the_reversed_result(quadrature_paths):
     assert quadrature_paths == ["factored"] * 4
     for field, reversed_field in zip(forward, backward):
         assert np.array_equal(reversed_field, field[::-1])
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev point values: each +-x pair from one real cos/sin row, and the
+# direct sum only at planes that lie exactly on a point
+
+
+@pytest.fixture
+def phasor_rows(monkeypatch):
+    """The number of planes of every phasor block built, in call order."""
+    rows = []
+    phasors = wavepacket._phasors
+
+    def spy(u, slope, offset):
+        rows.append(u.size)
+        return phasors(u, slope, offset)
+
+    monkeypatch.setattr(wavepacket, "_phasors", spy)
+    return rows
+
+
+def random_sum(seed, reach, half, offset_scale=math.pi, k=512):
+    """Weights, offsets and slopes of a k-sum whose reach over half-width ``half`` is ``reach``."""
+    rng = np.random.default_rng(seed)
+    slope = np.r_[-reach, reach, rng.uniform(-reach, reach, k - 2)] / half
+    weights = rng.normal(size=k) + 1j * rng.normal(size=k)
+    offset = rng.uniform(-offset_scale, offset_scale, k)
+    return weights, offset, slope
+
+
+@pytest.mark.parametrize("reach, on_points", [(12.0, (0, 400)), (12.5, (0, 200, 400))])
+def test_dyadic_window_takes_the_direct_sum_at_each_plane_on_a_point(phasor_rows, reach,
+                                                                     on_points):
+    # Planes at exact multiples of 2^-30 m: both end planes lie on the points
+    # +-1 at either degree parity, and the centre plane on 0 when it is even.
+    u = np.arange(-200, 201) * 2.0**-30
+    assert (chebyshev_degree(reach) % 2 == 0) == (200 in on_points)
+    weights, offset, slope = random_sum(21, reach, u[-1])
+    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    assert sum(phasor_rows) == len(on_points)
+    for plane in on_points:
+        assert got[plane] == direct_sum(weights, offset, slope, u[plane:plane + 1])[0]
+    want = direct_sum(weights, offset, slope, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
+
+
+@pytest.mark.parametrize("reach", [12.0, 12.5, 47.0, 48.0])
+@pytest.mark.parametrize("centre", [-7.0, 3.0, 40.0])
+def test_off_centre_window_with_large_offsets_matches_the_direct_sum(reach, centre):
+    # mid = centre * half, so slope * mid reaches centre * reach rad, on top
+    # of offsets up to 1e3 rad; both degree parities are covered.
+    half = 2e-7
+    u = (centre + np.linspace(-1.0, 1.0, 301)) * half
+    weights, offset, slope = random_sum(int(reach * 10 + centre), reach, half, 1e3)
+    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    assert got is not None
+    want = direct_sum(weights, offset, slope, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
+
+
+def test_window_with_no_plane_on_a_point_builds_no_phasor_row(phasor_rows):
+    # Over [0.1, 0.2] the window's centre and half-width are inexact, so its
+    # end planes map just off +-1 and an even plane count has no centre plane.
+    u = np.linspace(0.1, 0.2, 300)
+    weights, offset, slope = random_sum(29, 12.5, 0.05)
+    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    assert sum(phasor_rows) == 0
+    want = direct_sum(weights, offset, slope, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
+
+
+@pytest.mark.parametrize("planes, hits", [(1201, 3), (1200, 2)])
+def test_transport_window_builds_phasor_rows_only_at_planes_on_points(phasor_rows, planes, hits):
+    # Packet-frame planes are differences of z values near 1 m, so their ends
+    # and centre are exact: the end planes lie on the points +-1 and, for an
+    # odd plane count, the centre plane on 0 (a transport window has degree 40).
+    stages, times = criterion_6_setup()
+    for state in stages[::3]:
+        for t in times:
+            phasor_rows.clear()
+            branch_intensities(state, transport_window(state, t, planes), t)
+            assert sum(phasor_rows) == 2 * hits
+
+
+def test_position_intensity_checks_the_projection_before_the_transport(monkeypatch):
+    stages, times = criterion_6_setup()
+    state, t = stages[-1], times[-1]
+
+    def no_transport(*args):
+        raise AssertionError("the branch fields were computed")
+
+    monkeypatch.setattr(wavepacket, "_branch_fields", no_transport)
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="spin projection"):
+            position_intensity(state, transport_window(state, t), t, spin_projection=angle)
