@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beamline import BeamlineConfig, channel_phase, spin_phase
+from .beamline import BeamlineConfig, _scan_phases
 from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError, bounded_repr
 from .quantum import (
     WitnessSettings,
@@ -344,23 +344,10 @@ class _Scan:
             raise ConfigError(f"inconsistent channel counts across points: {sorted(widths)}")
         self.cfg, self.scan_kind = cfg, scan_kind
         self.currents, self.coords = np.array([(rec.current, rec.coord) for rec in records]).T
-        with np.errstate(over="ignore"):
-            self.alphas = spin_phase(cfg, self.currents)
-        overflowed = self.currents[~np.isfinite(self.alphas)]
-        if overflowed.size:
-            raise ConfigError(f"current {float(overflowed[0])!r} A gives a non-finite spin phase")
+        (n,) = widths
+        # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
+        self.alphas, self.phases = _scan_phases(cfg, scan_kind, self.currents, self.coords, n)
         self.counts = np.array([rec.counts for rec in records], dtype=float)
-        n = self.counts.shape[1]
-        # (P, n) phases omega_m t + gamma of every channel at every point
-        self.phases = np.zeros_like(self.counts)
-        if n:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.phases = channel_phase(cfg, scan_kind, self.coords[:, None], np.arange(n), n)
-        overflowed = self.coords[~np.isfinite(self.phases).all(axis=1)]
-        if overflowed.size:
-            name, unit = ("detuning", "rad/s") if scan_kind == "detuning" else ("offset", "m")
-            raise ConfigError(
-                f"{name} {float(overflowed[0])!r} {unit} gives a non-finite energy phase")
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""

@@ -185,6 +185,39 @@ def channel_phase(cfg: BeamlineConfig, scan_kind: str, coord: float, channel, n:
     return omega_m * t + energy_phase(cfg, coord)
 
 
+# Above 2**32 rad neighbouring doubles lie about 1e-6 rad apart or more, so a
+# phase there no longer sets a cosine; the presets' phases stay below 70 rad.
+_MAX_PHASE = 2.0**32
+
+
+def _scan_phases(cfg: BeamlineConfig, scan_kind: str, currents, coords,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spin phases of ``currents`` and the (len(coords), n) channel phases omega_m t + gamma.
+
+    The one path from a scan to its phases, for simulation and analysis alike.
+    Raises ConfigError for the first current, then the first coordinate, whose
+    phase overflows or exceeds 2**32 rad.  ``n == 0`` gives an empty table.
+    """
+    currents, coords = np.ravel(currents), np.ravel(coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = spin_phase(cfg, currents)
+        phases = (channel_phase(cfg, scan_kind, coords[:, None], np.arange(n), n) if n
+                  else np.zeros((coords.size, 0)))
+    coord_name, coord_unit = ("detuning", "rad/s") if scan_kind == "detuning" else ("offset", "m")
+    for values, worst, name, unit, kind in (
+        (currents, np.abs(alphas), "current", "A", "spin"),
+        (coords, np.abs(phases).max(axis=1, initial=0.0), coord_name, coord_unit, "energy"),
+    ):
+        bad = np.flatnonzero(~(worst <= _MAX_PHASE))
+        if bad.size:
+            value, phase = float(values[bad[0]]), worst[bad[0]]
+            if not np.isfinite(phase):
+                raise ConfigError(f"{name} {value!r} {unit} gives a non-finite {kind} phase")
+            raise ConfigError(f"{name} {value!r} {unit} gives a phase of {phase:.3g} rad, "
+                              "over 2**32 rad, where doubles lie about 1e-6 rad apart")
+    return alphas, phases
+
+
 def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> float:
     """Flipper-to-detector distance L2 (m) satisfying the focusing condition.
 

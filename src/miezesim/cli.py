@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisReport, WitnessResult, analyze_records, bootstrap_uncertainty
-from .beamline import focusing_distance, mieze_frequency, spin_phase, energy_phase
+from .beamline import _scan_phases, energy_phase, focusing_distance, mieze_frequency
 from .config import (
     _KHZ,
     _MM,
@@ -211,7 +211,9 @@ def _coherence_lines(rc: RunConfig) -> list[str]:
     if rc.plan is None or rc.packet is None:
         return lines
     cfg, plan = rc.beamline, rc.plan
-    checks = [("spin-phase", np.abs(spin_phase(cfg, np.array(plan.currents))).max())]
+    alphas, _ = _scan_phases(cfg, plan.scan_kind, plan.currents, plan.coords,
+                             plan.time_channels_per_period)
+    checks = [("spin-phase", np.abs(alphas).max())]
     if plan.detunings is None:
         checks.append(("energy-phase", np.abs(energy_phase(cfg, np.array(plan.offsets))).max()))
     for label, phase in checks:

@@ -10,7 +10,10 @@ set by the detector offset (or, in detuning scans, the time-dependent phase
 ``-2 dw t_i``), and ``phi`` a global phase absorbing the arbitrary time-channel
 origin.  Counts are Poisson draws around ``mu_i``.
 
-All P scan points' means come from one (P, n) phase grid and one ``cos``.
+The means come from one phase table built over the plan's axes by
+``beamline._scan_phases`` (which rejects a phase that overflows or exceeds
+2**32 rad): C spin phases and D x n channel phases, broadcast to the
+(C * D, n) grid of all scan points and one ``cos``.
 Row i is drawn from its own counter-based stream: one Philox bit generator,
 keyed by the plan seed, whose counter is set to i * 2^128 before row i.  Counts
 are therefore bit-identical for a fixed seed however the rows are batched; the
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamline import BeamlineConfig, channel_phase, spin_phase
+from .beamline import BeamlineConfig, _scan_phases
 from .errors import ConfigError, bounded_repr
 from .wavepacket import WavePacketSpec, contrast_envelope
 
@@ -140,12 +143,15 @@ class CountsRecord:
         return sum(self.counts)
 
 
-def _point_means(cfg: BeamlineConfig, plan: ScanPlan, current: float, coord: float,
-                 contrast: float) -> np.ndarray:
+def _point_means(cfg: BeamlineConfig, plan: ScanPlan, currents, coords,
+                 contrasts) -> np.ndarray:
+    """(C, D, n) channel means at C currents x D coordinates (D contrasts); scalars give (n,)."""
     n = plan.time_channels_per_period
-    phase = (spin_phase(cfg, current) + plan.phase_offset
-             + channel_phase(cfg, plan.scan_kind, coord, np.arange(n), n))
-    return plan.background_rate + 0.5 * plan.counts_scale * (1.0 + contrast * np.cos(phase))
+    alphas, phases = _scan_phases(cfg, plan.scan_kind, currents, coords, n)
+    phase = (alphas + plan.phase_offset)[:, None, None] + phases
+    means = plan.background_rate + 0.5 * plan.counts_scale * (
+        1.0 + np.reshape(contrasts, (-1, 1)) * np.cos(phase))
+    return means.reshape(np.shape(currents) + np.shape(coords) + (n,))
 
 
 def _effective_contrasts(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str,
@@ -214,10 +220,10 @@ def simulate_scan(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str = "i
     index.
     """
     contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec, plan.coords)
+    means = _point_means(cfg, plan, plan.currents, plan.coords,
+                         [contrasts[coord] for coord in plan.coords])
+    counts = _poisson_rows(plan.rng_seed, means.reshape(-1, plan.time_channels_per_period))
     grid = [(current, coord) for current in plan.currents for coord in plan.coords]
-    currents, coords, contrast = np.array(
-        [(current, coord, contrasts[coord]) for current, coord in grid]).T[..., None]
-    counts = _poisson_rows(plan.rng_seed, _point_means(cfg, plan, currents, coords, contrast))
     return [CountsRecord(current=current, coord=coord, counts=tuple(row))
             for (current, coord), row in zip(grid, counts.tolist())]
 

@@ -611,6 +611,18 @@ def test_every_route_rejects_a_coordinate_whose_energy_phase_overflows(route, ki
             ROUTES[route](recs, kind)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("current", 1e300, "current 1e+300 A gives a phase of 6.37e+301 rad, over 2**32 rad"),
+    ("coord", -1e300, "offset -1e+300 m gives a phase of 8.74e+301 rad, over 2**32 rad"),
+])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_a_finite_phase_with_no_digits(route, field, value, message):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    recs[3] = replace(recs[3], **{field: value})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ROUTES[route](recs, "offset")
+
+
 @pytest.mark.parametrize("kind", ["offset", "detuning"])
 def test_channel_points_equal_the_phase_law_of_each_channel(kind):
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=0) if kind == "offset" else DETUNING_PLAN)

@@ -1,6 +1,8 @@
 """Beamline phase maps, focusing condition, and the idealized signal."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from miezesim import (
+    PRESETS,
     BeamlineConfig,
     ConfigError,
     PhysicsError,
+    ScanPlan,
     bell_state,
     chsh_value,
     current_for_spin_phase,
@@ -20,12 +24,13 @@ from miezesim import (
     expectation_from_counts,
     focusing_distance,
     ideal_intensity,
+    load_preset,
     mieze_frequency,
     offset_for_energy_phase,
     optimal_settings,
     spin_phase,
 )
-from miezesim.beamline import channel_phase
+from miezesim.beamline import _scan_phases, channel_phase
 
 # Independent oracle constants (CODATA-2018 literals, not imported from the package)
 NEUTRON_MASS = 1.67492749804e-27
@@ -220,6 +225,62 @@ def test_channel_phase_grid_equals_per_coordinate_rows(kind, coords):
     for coord, row in zip(coords, grid):
         assert np.array_equal(row, channel_phase(CFG, kind, coord, np.arange(n), n))
         assert row[5] == channel_phase(CFG, kind, coord, 5, n)
+
+
+DETUNING_PLAN = ScanPlan(
+    currents=tuple(np.linspace(-1.0, -0.88, 13)),
+    detunings=tuple(np.linspace(-400.0, 400.0, 9)),
+)
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "detuning"])
+def test_scan_phases_equal_the_phase_laws(name):
+    cfg, plan = (CFG, DETUNING_PLAN) if name == "detuning" else (
+        load_preset(name).beamline, load_preset(name).plan)
+    currents, coords = np.array(plan.currents), np.array(plan.coords)
+    n = plan.time_channels_per_period
+    alphas, phases = _scan_phases(cfg, plan.scan_kind, currents, coords, n)
+    assert np.array_equal(alphas, spin_phase(cfg, currents))
+    assert np.array_equal(
+        phases, channel_phase(cfg, plan.scan_kind, coords[:, None], np.arange(n), n))
+    assert phases.shape == (len(coords), n)
+
+
+@pytest.mark.parametrize("kind", ["offset", "detuning"])
+def test_scan_phases_without_channels_give_an_empty_table(kind):
+    alphas, phases = _scan_phases(CFG, kind, [-0.94, -0.9], [0.0, 0.005, 0.01], 0)
+    assert np.array_equal(alphas, spin_phase(CFG, np.array([-0.94, -0.9])))
+    assert phases.shape == (3, 0)
+
+
+@pytest.mark.parametrize("kind, currents, coords, message", [
+    ("offset", [-0.94, 1e305, -1e305], [0.0], "current 1e+305 A gives a non-finite spin phase"),
+    ("offset", [-0.94], [0.0, -1e305, 1e305], "offset -1e+305 m gives a non-finite energy phase"),
+    ("detuning", [-0.94], [0.0, 1e308], "detuning 1e+308 rad/s gives a non-finite energy phase"),
+    ("offset", [-0.94, 1e300], [0.0], "current 1e+300 A gives a phase of 6.37e+301 rad, "
+                                      "over 2**32 rad"),
+    ("offset", [-0.94], [0.0, -1e300], "offset -1e+300 m gives a phase of 8.74e+301 rad, "
+                                       "over 2**32 rad"),
+    ("detuning", [-0.94], [0.0, 1e300], "detuning 1e+300 rad/s gives a phase of 1.88e+296 rad, "
+                                        "over 2**32 rad"),
+    # The current is checked before the coordinates.
+    ("offset", [1e300], [1e305], "current 1e+300 A gives a phase of"),
+])
+def test_scan_phases_reject_the_first_phase_that_overflows_or_has_no_digits(
+        kind, currents, coords, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _scan_phases(CFG, kind, currents, coords, 16)
+
+
+def test_scan_phases_accept_phases_up_to_2_to_the_32():
+    # 2**32 rad itself still resolves to about 1e-6 rad; the next double up does not.
+    current = float(np.nextafter(2.0**32, 0.0)) / float(spin_phase(CFG, 1.0))
+    alphas, _ = _scan_phases(CFG, "offset", [current], [0.0], 16)
+    assert abs(alphas[0]) <= 2.0**32
+    with pytest.raises(ConfigError, match="over 2"):
+        _scan_phases(CFG, "offset", [2.0 * current], [0.0], 16)
 
 
 def test_focusing_distance_reference_geometry():

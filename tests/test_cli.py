@@ -13,6 +13,7 @@ import pytest
 import miezesim
 
 from miezesim import __version__, load_preset, optimal_settings, parse_run_config
+from miezesim.config import preset_text
 from miezesim.cli import main
 
 SMALL_CONFIG = {
@@ -340,6 +341,59 @@ def test_witness_on_an_offset_whose_energy_phase_overflows_exits_2(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: offset 1e+305 m gives a non-finite energy phase")
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_witness_on_a_current_whose_spin_phase_has_no_digits_exits_2(tmp_path, capsys):
+    # 1e300 A is finite, but its spin phase (about 6e301 rad) keeps no digit that
+    # sets a cosine.
+    counts = run_simulate(tmp_path)
+    rows = [line.split(",") for line in counts.read_text().splitlines()]
+    first = rows[1][:2]
+    for row in rows[1:]:
+        if row[:2] == first:
+            row[0] = "1e300"
+    counts.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    code = main(["witness", "--counts", str(counts)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: current 1e+300 A gives a phase of 6.37e+301 rad, over 2**32 rad")
+    assert "Traceback" not in err
+
+
+def preset_config_with_plan(tmp_path, **plan):
+    data = json.loads(preset_text("cg4b-10khz"))
+    data["plan"].update(plan)
+    return write_config(tmp_path, data)
+
+
+OFFSETS_MM = json.loads(preset_text("cg4b-10khz"))["plan"]["offsets_mm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["simulate", "--model", "wavepacket"], ["envelope"],
+], ids=["simulate", "simulate-wavepacket", "envelope"])
+@pytest.mark.parametrize("plan, message", [
+    ({"offsets_mm": [*OFFSETS_MM, 1e308]}, "offset 1e+305 m gives a non-finite energy phase"),
+    ({"currents_a": [-1.0, -1e305]}, "current -1e+305 A gives a non-finite spin phase"),
+    ({"currents_a": [-1.0, 1e300]}, "current 1e+300 A gives a phase of 6.37e+301 rad"),
+], ids=["offset-overflow", "current-overflow", "current-no-digits"])
+def test_plan_whose_phase_overflows_or_has_no_digits_exits_2(tmp_path, capsys, command,
+                                                              plan, message):
+    config = preset_config_with_plan(tmp_path, **plan)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    if command == ["simulate"] or "offsets_mm" not in plan:
+        assert err.startswith(f"error: {message}")
+    else:  # the far offset meets the k-grid resolution guard of the envelope first
+        assert "refine the k grid" in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_witness_on_a_ragged_table_exits_0(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +435,28 @@ def test_point_means_compute_one_envelope_offset(monkeypatch):
     contrast = rc.beamline.contrast * contrast_envelope(rc.beamline, rc.packet, [coord])[0][1]
     assert np.array_equal(
         means, synth._point_means(rc.beamline, rc.plan, rc.plan.currents[0], coord, contrast))
+
+
+@pytest.mark.parametrize("plan, message", [
+    (replace(PLAN, offsets=(*PLAN.offsets, 1e305)),
+     "offset 1e+305 m gives a non-finite energy phase"),
+    (replace(PLAN, offsets=(-1e305, *PLAN.offsets)),
+     "offset -1e+305 m gives a non-finite energy phase"),
+    (replace(PLAN, currents=(*PLAN.currents, -1e305)),
+     "current -1e+305 A gives a non-finite spin phase"),
+    (replace(PLAN, detunings=(0.0, -1e308)),
+     "detuning -1e+308 rad/s gives a non-finite energy phase"),
+    (replace(PLAN, currents=(*PLAN.currents, 1e300)),
+     "current 1e+300 A gives a phase of 6.37e+301 rad, over 2**32 rad"),
+    (replace(PLAN, offsets=(1e300,)), "offset 1e+300 m gives a phase of 8.74e+301 rad"),
+    (replace(PLAN, detunings=(1e300,)), "detuning 1e+300 rad/s gives a phase of 1.88e+296 rad"),
+], ids=["offset", "negative-offset", "current", "detuning",
+        "current-no-digits", "offset-no-digits", "detuning-no-digits"])
+def test_simulate_scan_rejects_a_plan_whose_phase_overflows_or_has_no_digits(plan, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            simulate_scan(CFG, plan)
 
 
 # ---------------------------------------------------------------------------
