@@ -22,7 +22,9 @@ reduction, so none of them reuses another's fitted numbers.
 All fits share one closed-form engine, which fits a stack of rows in one
 call.  The model is linear in ``(A, B cos phi, -B sin phi)``, so one weighted
 solve of each row's ``[1, cos theta, sin theta]`` normal equations gives the
-exact optimum.  ``B = hypot(c, s)`` is non-negative with the sign carried by
+exact optimum; one matrix product gives every row's normal matrix and
+moments together.  ``analyze_records`` validates the records once and hands
+that scan to all three routes.  ``B = hypot(c, s)`` is non-negative with the sign carried by
 the phase; the (A, B, phi) covariance is the linear-parameter one mapped by
 the delta method (Gauss-Newton for ``B > 0``), so the phase sigma grows
 without bound as ``B`` tends to zero.  A row fails when its normal matrix is
@@ -47,7 +49,7 @@ from .quantum import (
     classify,
     expectation_from_counts,
 )
-from .synth import CountsRecord, _point_rng, _poisson_rows
+from .synth import _MAX_COUNT, CountsRecord, _point_rng, _poisson_rows
 
 Array = np.ndarray
 
@@ -182,14 +184,22 @@ class _CosineFits(NamedTuple):
 
 
 def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
-    """Fit y = A + B cos(theta + phi) to each (R, N) row of y, sigma; theta broadcasts."""
+    """Fit y = A + B cos(theta + phi) to each (R, N) row of y, sigma; theta broadcasts.
+
+    With w = sigma**-2 and the basis b = [1, cos theta, sin theta], one product
+    of the stacked rows [w, w y] against the (..., N, 9) outer products b b^T
+    gives the normal matrix sum(w b b^T) and, in its first three columns, the
+    moments sum(w y b).  Both come from the same sums, so flat data reproduce
+    the normal matrix's constant column bit for bit and solve to B = 0 exactly.
+    """
     basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
-    design = basis / sigma[..., None]
-    weighted_y = y / sigma
-    normal = np.einsum("rni,rnj->rij", design, design)
-    singular = np.linalg.matrix_rank(normal) < 3
+    products = (basis[..., :, None] * basis[..., None, :]).reshape(*basis.shape[:-1], 9)
+    w = sigma**-2.0
+    sums = np.matmul(np.stack([w, w * y], axis=-2), products)
+    normal = sums[:, 0].reshape(-1, 3, 3)  # exactly symmetric: b_i b_j == b_j b_i
+    singular = np.linalg.matrix_rank(normal, hermitian=True) < 3
     normal[singular] = np.eye(3)  # a solvable stand-in; these rows are reported failed
-    coef = np.linalg.solve(normal, np.einsum("rni,rn->ri", design, weighted_y)[..., None])[..., 0]
+    coef = np.linalg.solve(normal, sums[:, 1, :3, None])[..., 0]
     a, c, s = coef.T
     b = np.hypot(c, s)
     failed = singular | (b == 0.0) | ~(a > 0.0)
@@ -201,7 +211,7 @@ def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
         for row in np.flatnonzero(failed).tolist()
     }
     coef[failed] = b[failed] = np.nan
-    resid = np.einsum("rni,ri->rn", design, coef) - weighted_y
+    resid = (basis @ coef[..., None])[..., 0] - y
     phase = np.arctan2(-s, c)
     phase[phase == -math.pi] = math.pi  # wrap to (-pi, pi]
     # (A, c, s) -> (A, B, phi) with c = B cos(phi), s = -B sin(phi)
@@ -209,7 +219,7 @@ def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
     grad[:, 0, 0] = 1.0
     grad[:, 1:, 1:] = np.moveaxis(np.array([[c / b, s / b], [s / b**2, -c / b**2]]), -1, 0)
     covariance = grad @ np.linalg.inv(normal) @ grad.transpose(0, 2, 1)
-    chi_square = np.einsum("rn,rn->r", resid, resid)
+    chi_square = np.einsum("rn,rn->r", w, resid * resid)
     return _CosineFits(a, b, phase, covariance, chi_square, max(y.shape[-1] - 3, 0), failures)
 
 
@@ -232,23 +242,26 @@ def _fit_channels(counts: Array) -> _CosineFits:
     return fits
 
 
-def fit_global(points) -> FitResult:
-    """Fit ``intensity = A + B cos(phase + phi0)`` over (phase, intensity, sigma) points.
-
-    Requires at least four points spanning more than pi of phase.
-    """
-    rows = list(points)
-    if len(rows) < 4:
-        raise FitError(f"need at least 4 points, got {len(rows)}")
-    theta, y, sigma = _validate_xy(
-        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
-    )
+def _fit_points(theta, y, sigma) -> FitResult:
+    """``fit_global`` on (phase, intensity, sigma) columns."""
+    if len(theta) < 4:
+        raise FitError(f"need at least 4 points, got {len(theta)}")
+    theta, y, sigma = _validate_xy(theta, y, sigma)
     span = float(np.max(theta) - np.min(theta))
     if span <= math.pi:
         raise FitError(
             f"insufficient phase coverage: span {span:.4g} rad, need more than pi"
         )
     return _fit_cosines(theta, y[None], sigma[None]).one()
+
+
+def fit_global(points) -> FitResult:
+    """Fit ``intensity = A + B cos(phase + phi0)`` over (phase, intensity, sigma) points.
+
+    Requires at least four points spanning more than pi of phase.
+    """
+    rows = list(points)
+    return _fit_points(*([r[k] for r in rows] for k in range(3)))
 
 
 def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
@@ -347,6 +360,10 @@ class _Scan:
         (n,) = widths
         # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
         self.alphas, self.phases = _scan_phases(cfg, scan_kind, self.currents, self.coords, n)
+        largest = max(max(rec.counts, default=0) for rec in records)
+        if largest > _MAX_COUNT:
+            raise ConfigError("counts must be at most 2**53, where floats stop holding "
+                              f"integers exactly, got {bounded_repr(largest)}")
         self.counts = np.array([rec.counts for rec in records], dtype=float)
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
@@ -376,7 +393,10 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
     The pooled (C, phi) pair is then evaluated at the witness settings.
     Returns the witness plus the pooled two-stage fit summary.
     """
-    scan = _Scan(cfg, records, scan_kind)
+    return _channel_route(_Scan(cfg, records, scan_kind), settings)
+
+
+def _channel_route(scan: _Scan, settings: WitnessSettings) -> tuple[WitnessResult, FitResult]:
     fits = _fit_channels(scan.counts)
     base = scan.channel_points(0)[0]
     a, b = fits.mean_level, fits.amplitude
@@ -399,8 +419,10 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
     return witness_from_fit(pooled, settings), pooled
 
 
-def _wrap_distance(a: float, b: float) -> float:
-    return abs(math.remainder(a - b, 2.0 * math.pi))
+def _wrapped_distance(x):
+    """|x| wrapped into [0, pi]; equal bit for bit to ``abs(math.remainder(x, 2 pi))``."""
+    d = np.abs(np.fmod(x, 2.0 * math.pi))
+    return np.minimum(d, 2.0 * math.pi - d)
 
 
 def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
@@ -420,43 +442,46 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     """
     if scan_kind != "offset":
         raise ConfigError("count-ratio witness requires an offset scan")
-    scan = _Scan(cfg, records, scan_kind)
+    return _count_route(_Scan(cfg, records, scan_kind), settings)
+
+
+def _count_route(scan: _Scan, settings: WitnessSettings) -> WitnessResult:
     n = scan.counts.shape[1]
     if n == 0:
         raise ConfigError("count-ratio witness requires time channels, got 0")
-    by_point = {point: row for row, point in
-                enumerate(zip(scan.currents.tolist(), scan.coords.tolist()))}
-    alpha_of = dict(zip(scan.currents.tolist(), scan.alphas.tolist()))
-    currents = sorted(alpha_of, key=lambda c: (abs(c), c))
-    offsets = sorted({d for _, d in by_point}, key=lambda d: (abs(d), d))
-
-    def pick_current(target: float) -> float:
-        return min(currents, key=lambda c: (_wrap_distance(alpha_of[c], target), abs(c)))
-
-    phase_of = dict(zip(scan.coords.tolist(), scan.phases.tolist()))
-    phases = [phase_of[delta] for delta in offsets]
-
-    def pick_gamma(current: float, target: float) -> tuple[float, int]:
-        best = None
-        for delta, row in zip(offsets, phases):
-            if (current, delta) not in by_point:
-                continue
-            for ch, value in enumerate(row):
-                key = (_wrap_distance(value, target), abs(delta), ch)
-                if best is None or key < best[0]:
-                    best = (key, delta, ch)
-        return best[1], best[2]
-
+    currents, current_of = np.unique(scan.currents, return_inverse=True)
+    offsets, offset_of = np.unique(scan.coords, return_inverse=True)
+    row_at = np.full((currents.size, offsets.size), -1)  # (C, D) record row, -1 if not recorded
+    row_at[current_of, offset_of] = np.arange(current_of.size)
+    alphas = np.empty(currents.size)
+    alphas[current_of] = scan.alphas
+    phases = np.empty((offsets.size, n))
+    phases[offset_of] = scan.phases
+    # Candidates in the tie order, so that argmin's first minimum is the documented pick:
+    # currents by |current|, then negative first; (offset, channel) cells by |offset|,
+    # then channel, then negative first.
+    by_current = np.lexsort((currents, np.abs(currents)))
+    cell_offset = np.repeat(np.arange(offsets.size), n)
+    cell_channel = np.tile(np.arange(n), offsets.size)
+    cells = np.lexsort((offsets[cell_offset], cell_channel, np.abs(offsets[cell_offset])))
+    cell_offset, cell_channel = cell_offset[cells], cell_channel[cells]
+    shifts = (0.0, math.pi)
+    # Targets in (i, k) and (j, l) order: alpha_i + k pi and gamma_j + l pi.
+    alpha_targets = np.add.outer((settings.alpha1, settings.alpha2), shifts).ravel()
+    gamma_targets = np.add.outer((settings.gamma1, settings.gamma2), shifts).ravel()
+    picked = by_current[np.argmin(
+        _wrapped_distance(alphas[by_current] - alpha_targets[:, None]), axis=1)]
+    rows = row_at[picked][:, cell_offset]  # (ik, cells)
+    distance = _wrapped_distance(phases[cell_offset, cell_channel] - gamma_targets[:, None])
+    best = np.argmin(np.where(rows[:, None] >= 0, distance, np.inf), axis=2)  # (ik, jl)
+    reads = scan.counts[np.take_along_axis(rows, best, axis=1), cell_channel[best]]
+    # (i, k, j, l) -> (i, j, k, l)
+    reads = reads.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).tolist()
     e = np.empty((2, 2))
     sig = np.empty((2, 2))
-    for i, alpha in enumerate((settings.alpha1, settings.alpha2)):
-        for j, gamma in enumerate((settings.gamma1, settings.gamma2)):
-            outcome_counts = {}
-            for k in (0, 1):
-                current = pick_current(alpha + k * math.pi)
-                for l in (0, 1):
-                    delta, ch = pick_gamma(current, gamma + l * math.pi)
-                    outcome_counts[(k, l)] = float(scan.counts[by_point[(current, delta)], ch])
+    for i in range(2):
+        for j in range(2):
+            outcome_counts = {(k, l): reads[i][j][k][l] for k in (0, 1) for l in (0, 1)}
             e[i, j] = expectation_from_counts(outcome_counts)
             total = sum(outcome_counts.values())
             sig[i, j] = math.sqrt(max(1.0 - e[i, j] ** 2, 0.0) / total)
@@ -493,20 +518,18 @@ def analyze_records(cfg: BeamlineConfig, records, settings: WitnessSettings,
     scans) and the per-point fit route are computed alongside as
     cross-checks.
     """
-    records = list(records)
-    points = single_channel_points(cfg, records, channel=channel, scan_kind=scan_kind)
-    fit = fit_global(points)
+    scan = _Scan(cfg, records, scan_kind)
+    theta, intensity, sigma = scan.channel_points(channel)
+    fit = _fit_points(theta, intensity, sigma)
     primary = witness_from_fit(fit, settings)
-    model = fit.model([p[0] for p in points]).tolist()
-    samples = tuple(PointSample(*p, model=m) for p, m in zip(points, model))
-    count_route = None
-    if scan_kind == "offset":
-        count_route = counts_witness(cfg, records, settings, scan_kind=scan_kind)
-    channel_route, _ = channel_fits_witness(cfg, records, settings, scan_kind=scan_kind)
+    samples = tuple(map(PointSample, theta.tolist(), intensity.tolist(), sigma.tolist(),
+                        fit.model(theta).tolist()))
+    count_route = _count_route(scan, settings) if scan_kind == "offset" else None
+    channel_route, _ = _channel_route(scan, settings)
     diagnostics = {
         "method": "single_channel_global_fit",
         "channel": channel,
-        "n_points": len(points),
+        "n_points": len(samples),
         "chi_square": fit.chi_square,
         "dof": fit.dof,
         "reduced_chi_square": fit.chi_square / fit.dof if fit.dof else math.nan,

@@ -23,8 +23,10 @@ bootstrap resamples through this row sampler.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -50,6 +52,7 @@ INTENSITY_MODELS = ("ideal", "wavepacket")
 
 _MAX_SEED = 2**64
 _MAX_CHANNELS = 2**16
+_MAX_COUNT = 2**53  # floats hold every integer up to here exactly
 
 
 def _finite_tuple(values, name: str) -> tuple[float, ...]:
@@ -318,37 +321,63 @@ def read_counts_csv(path) -> CountsTable:
     except (TypeError, KeyError, OverflowError):
         plan_coords = {}
 
-    grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ConfigError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+    data = list(filter(None, rows[1:]))  # blank rows are skipped
+    # The rows before the first short or long row are parsed column by column.  Each
+    # check notes its first failure as (row, rank, message, cause); the earliest row
+    # wins, and within a row the ranks keep the order columns, current, coordinate,
+    # channel, count, count bound, then finiteness.
+    lengths = list(map(len, data))
+    width = min((lengths.index(n) for n in set(lengths) - {4}), default=len(data))
+    columns = list(zip(*data[:width])) or [()] * 4
+    defects = []
+    if width < len(data):
+        defects.append((width, 0, f"expected 4 columns, got {lengths[width]}", None))
+
+    def parse(rank, convert, column) -> list:
+        values = []
         try:
-            current = float(row[0])
-            coord = plan_coords[row[1]] if row[1] in plan_coords else float(row[1]) / scale
-            channel = int(row[2])
-            count = int(row[3])
+            values.extend(map(convert, column))  # keeps the values before a failure
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        for name, value in ((header[0], current), (header[1], coord)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{path}:{lineno}: {name} must be finite, got {value!r}")
-        grouped.setdefault((current, coord), []).append((channel, count))
+            defects.append((len(values), rank, str(exc), exc))
+        return values
+
+    def check(rank, values, ok, message) -> None:
+        if not all(map(ok, values)):
+            row = next(i for i, value in enumerate(values) if not ok(value))
+            defects.append((row, rank, message(values[row]), None))
+
+    def coordinate(text: str) -> float:
+        return plan_coords[text] if text in plan_coords else float(text) / scale
+
+    currents = parse(1, float, columns[0])
+    coords = parse(2, coordinate, columns[1])
+    channels = parse(3, int, columns[2])
+    counts = parse(4, int, columns[3])
+    check(5, counts, _MAX_COUNT.__ge__, lambda count: (
+        f"counts must be at most 2**53, where floats stop holding integers exactly, "
+        f"got {bounded_repr(count)}"))
+    check(6, currents, math.isfinite, lambda value: f"{header[0]} must be finite, got {value!r}")
+    check(7, coords, math.isfinite, lambda value: f"{header[1]} must be finite, got {value!r}")
+    if defects:
+        row, _, message, cause = min(defects, key=lambda defect: defect[:2])
+        lineno = [n for n, line in enumerate(rows[1:], start=2) if line][row]
+        raise ConfigError(f"{path}:{lineno}: {message}") from cause
+    # Runs of rows of one point, merged under the first (current, coord) seen.
+    grouped: dict[tuple[float, float], list[tuple]] = {}
+    for point, run in itertools.groupby(zip(zip(currents, coords), channels, counts),
+                                        key=operator.itemgetter(0)):
+        grouped.setdefault(point, []).extend(run)
     if not grouped:
         raise ConfigError(f"{path}: no data rows")
 
     records = []
     for (current, coord), entries in grouped.items():
-        channels = [c for c, _ in entries]
-        if channels != list(range(len(entries))):
+        _, point_channels, point_counts = zip(*entries)
+        if point_channels != tuple(range(len(entries))):
             raise ConfigError(
                 f"{path}: point ({current}, {coord}) has non-consecutive channels"
             )
-        records.append(
-            CountsRecord(current=current, coord=coord,
-                         counts=tuple(count for _, count in entries))
-        )
+        records.append(CountsRecord(current=current, coord=coord, counts=point_counts))
     widths = {len(r.counts) for r in records}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent channel counts across points: {sorted(widths)}")

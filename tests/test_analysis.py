@@ -42,7 +42,8 @@ from miezesim import (
     witness_from_contrast,
     witness_from_fit,
 )
-from miezesim.analysis import _fit_cosines, _resample_rng
+from miezesim import analysis
+from miezesim.analysis import _Scan, _fit_cosines, _resample_rng, _wrapped_distance
 from miezesim.beamline import channel_phase
 from miezesim.synth import _point_rng
 
@@ -512,6 +513,101 @@ def test_count_route_reduces_a_ragged_preset_table():
     assert abs(result.s - full.s) < 3.0 * math.hypot(result.sigma_s, full.sigma_s)
 
 
+def reference_counts_witness(cfg, records, settings):
+    """The count route as a loop over currents and (offset, channel) cells, with dict lookups."""
+    scan = _Scan(cfg, records, "offset")
+    by_point = {point: row for row, point in
+                enumerate(zip(scan.currents.tolist(), scan.coords.tolist()))}
+    alpha_of = dict(zip(scan.currents.tolist(), scan.alphas.tolist()))
+    currents = sorted(alpha_of, key=lambda c: (abs(c), c))
+    offsets = sorted({d for _, d in by_point}, key=lambda d: (abs(d), d))
+    phase_of = dict(zip(scan.coords.tolist(), scan.phases.tolist()))
+
+    def distance(a, b):
+        return abs(math.remainder(a - b, 2.0 * math.pi))
+
+    def pick_current(target):
+        return min(currents, key=lambda c: (distance(alpha_of[c], target), abs(c)))
+
+    def pick_gamma(current, target):
+        best = None
+        for delta in offsets:
+            if (current, delta) not in by_point:
+                continue
+            for ch, value in enumerate(phase_of[delta]):
+                key = (distance(value, target), abs(delta), ch)
+                if best is None or key < best[0]:
+                    best = (key, delta, ch)
+        return best[1], best[2]
+
+    e = np.empty((2, 2))
+    sig = np.empty((2, 2))
+    for i, alpha in enumerate((settings.alpha1, settings.alpha2)):
+        for j, gamma in enumerate((settings.gamma1, settings.gamma2)):
+            outcome_counts = {}
+            for k in (0, 1):
+                current = pick_current(alpha + k * math.pi)
+                for l in (0, 1):
+                    delta, ch = pick_gamma(current, gamma + l * math.pi)
+                    outcome_counts[(k, l)] = float(scan.counts[by_point[(current, delta)], ch])
+            e[i, j] = expectation_from_counts(outcome_counts)
+            total = sum(outcome_counts.values())
+            sig[i, j] = math.sqrt(max(1.0 - e[i, j] ** 2, 0.0) / total)
+    return witness(e, sig)
+
+
+def assert_same_witness(got, want):
+    assert np.array_equal(got.e_matrix, want.e_matrix)
+    assert np.array_equal(got.e_sigma, want.e_sigma)
+    assert got.s == want.s and got.sigma_s == want.sigma_s
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_route_matches_the_reference_loop_on_full_and_ragged_tables(name):
+    rc = load_preset(name)
+    drop = np.random.default_rng(11)
+    for seed in range(20):
+        recs = simulate_scan(rc.beamline, replace(rc.plan, rng_seed=seed))
+        ragged = [rec for rec, keep in zip(recs, drop.random(len(recs)) >= 0.3) if keep]
+        for table in (recs, ragged):
+            assert_same_witness(counts_witness(rc.beamline, table, rc.settings),
+                                reference_counts_witness(rc.beamline, table, rc.settings))
+
+
+@pytest.mark.parametrize("currents, offsets, drop", [
+    ([-C_TIE, C_TIE, C_PI], [-D_TIE, D_TIE, D_PI], ()),
+    ([C_TIE, -2 * C_TIE, C_PI], [D_TIE, -2 * D_TIE, D_PI], ()),
+    ([0.0, C_PI], [0.0], ()),
+    ([-C_TIE, C_TIE, C_PI], [-D_TIE, D_TIE, D_PI], {(-C_TIE, -D_TIE)}),
+    ([-C_TIE, C_TIE, -2 * C_TIE, C_PI], [D_TIE, -D_TIE, -2 * D_TIE, D_PI],
+     {(C_TIE, D_TIE), (-2 * C_TIE, -D_TIE), (C_PI, D_PI)}),
+], ids=["sign", "magnitude", "channel", "sign-dropped", "ragged"])
+def test_count_route_matches_the_reference_loop_on_tie_tables(currents, offsets, drop):
+    records = [CountsRecord(current=cur, coord=off, counts=counts)
+               for (cur, off), counts in tie_table(currents, offsets, drop=drop).items()]
+    half_channel = channel_phase(CFG, "offset", 0.0, 1, 5) / 2
+    targets = [0.0, -spin_phase(CFG, C_TIE) / 2, -energy_phase(CFG, D_TIE) / 2, half_channel,
+               math.pi, -math.pi / 2]
+    for alpha in targets:
+        for gamma in targets:
+            settings = WitnessSettings(alpha, alpha + 0.7, gamma, gamma - 2.1)
+            assert_same_witness(counts_witness(CFG, records, settings),
+                                reference_counts_witness(CFG, records, settings))
+
+
+def test_wrapped_distance_equals_the_remainder_bit_for_bit():
+    rng = np.random.default_rng(5)
+    # Multiples of pi and their neighbours are where the wrap and the rounding meet.
+    multiples = np.arange(-5000, 5000) * math.pi
+    x = np.concatenate([
+        rng.uniform(-50.0, 50.0, 50_000), rng.normal(0.0, 1e4, 40_000),
+        multiples, np.nextafter(multiples, np.inf), np.nextafter(multiples, -np.inf),
+        [0.0, -0.0, 2.0 * math.pi, 2.0**32, -(2.0**32)],
+    ])
+    want = np.array([abs(math.remainder(v, 2.0 * math.pi)) for v in x.tolist()])
+    assert np.array_equal(_wrapped_distance(x), want)
+
+
 def test_channel_route_agrees_with_single_channel_route():
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
     report = analyze_records(CFG, recs, SETTINGS)
@@ -621,6 +717,38 @@ def test_every_route_rejects_a_finite_phase_with_no_digits(route, field, value, 
     recs[3] = replace(recs[3], **{field: value})
     with pytest.raises(ConfigError, match=re.escape(message)):
         ROUTES[route](recs, "offset")
+
+
+@pytest.mark.parametrize("count, shown", [(2**53 + 1, "9007199254740993"),
+                                          (10**400, "an integer of 1329 bits")],
+                         ids=["2**53+1", "10**400"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_a_count_over_2_to_the_53(route, count, shown):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    recs[3] = replace(recs[3], counts=(count,) + recs[3].counts[1:])
+    with pytest.raises(ConfigError, match=f"counts must be at most 2\\*\\*53, .* got {shown}$"):
+        ROUTES[route](recs, "offset")
+
+
+def test_a_count_of_2_to_the_53_is_reduced():
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    recs[3] = replace(recs[3], counts=recs[3].counts[:5] + (2**53,) + recs[3].counts[6:])
+    report = analyze_records(CFG, recs, SETTINGS)
+    assert report.count_witness is not None and report.channel_witness is not None
+
+
+def test_analyze_records_validates_one_scan_for_all_three_routes(monkeypatch):
+    built = []
+
+    class CountingScan(_Scan):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_Scan", CountingScan)
+    report = analyze_records(CFG, iter(simulate_scan(CFG, replace(PLAN, rng_seed=42))), SETTINGS)
+    assert report.count_witness is not None and report.channel_witness is not None
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("kind", ["offset", "detuning"])

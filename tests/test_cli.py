@@ -412,6 +412,33 @@ def test_witness_on_a_ragged_table_exits_0(tmp_path, capsys):
     assert captured.err == ""
 
 
+def table_with_count(tmp_path, count):
+    """The simulated counts table with the count of its fifth data row replaced."""
+    counts = run_simulate(tmp_path)
+    lines = counts.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:3] + [str(count)])
+    counts.write_text("\n".join(lines) + "\n")
+    return counts
+
+
+@pytest.mark.parametrize("count", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+def test_witness_on_a_count_over_2_to_the_53_exits_2(tmp_path, capsys, count):
+    counts = table_with_count(tmp_path, count)
+    capsys.readouterr()
+    assert main(["witness", "--counts", str(counts), "--out", str(tmp_path / "wit")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {counts}:6: counts must be at most 2**53, where floats "
+                          "stop holding integers exactly, got ")
+    assert "Traceback" not in err
+
+
+def test_witness_on_a_count_of_2_to_the_53_exits_0(tmp_path, capsys):
+    counts = table_with_count(tmp_path, 2**53)
+    capsys.readouterr()
+    assert main(["witness", "--counts", str(counts), "--out", str(tmp_path / "wit")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_witness_bad_channel_exits_2(tmp_path, capsys):
     counts = run_simulate(tmp_path)
     code = main(["witness", "--counts", str(counts), "--channel", "16"])

@@ -569,6 +569,53 @@ def test_csv_reader_rejects_non_finite_coordinates(tmp_path, header, row, column
         read_counts_csv(path)
 
 
+def table_with_defects(tmp_path, defects, rows=12):
+    """A counts CSV of three 4-channel points, with ``defects`` {line: row text} replacing lines."""
+    lines = ["current_A,delta_mm,channel,counts"]
+    lines += [f"{-0.9 - 0.01 * (i // 4)},0,{i % 4},5" for i in range(rows)]
+    for lineno, text in defects.items():
+        lines[lineno - 1] = text
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# Line 1 is the header; a defect names the line it sits on, the first one in the file wins.
+@pytest.mark.parametrize("defects, message", [
+    ({4: "inf,0,2,5", 7: "-0.91,0,1,many"}, "bad.csv:4: current_A must be finite, got inf"),
+    ({3: "-0.9,zz,1,5", 9: "-0.91,0,3"}, "bad.csv:3: could not convert string to float: 'zz'"),
+    ({5: "-0.9,0,3,5,5", 8: "-0.91,0,2,x", 10: "nan,0,0,5"}, "bad.csv:5: expected 4 columns, got 5"),
+    ({2: "", 6: "-0.91,0,0"}, "bad.csv:6: expected 4 columns, got 3"),
+    ({6: "-0.91,nan,0,-", 11: "-0.92,0,2,5,"}, "bad.csv:6: invalid literal for int() with base 10: '-'"),
+    ({9: "nan,1e999,1.5,5"}, "bad.csv:9: invalid literal for int() with base 10: '1.5'"),
+    ({9: f"nan,1e999,0,{2**53 + 1}"}, "bad.csv:9: counts must be at most 2**53, where floats "
+                                     "stop holding integers exactly, got 9007199254740993"),
+    ({9: "-inf,1e999,0,5"}, "bad.csv:9: current_A must be finite, got -inf"),
+    ({9: "-0.92,1e999,0,5"}, "bad.csv:9: delta_mm must be finite, got inf"),
+], ids=["finite-before-count", "coordinate-before-short", "long-before-count",
+        "short-after-blank", "count-on-a-line-with-nan", "channel-before-finite",
+        "count-bound-before-finite", "current-before-coordinate", "coordinate"])
+def test_csv_reader_reports_the_first_defective_line(tmp_path, defects, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        read_counts_csv(table_with_defects(tmp_path, defects))
+
+
+@pytest.mark.parametrize("count, shown", [(2**53 + 1, "9007199254740993"),
+                                          (10**400, "an integer of 1329 bits")],
+                         ids=["2**53+1", "10**400"])
+def test_csv_reader_rejects_a_count_over_2_to_the_53(tmp_path, count, shown):
+    path = table_with_defects(tmp_path, {7: f"-0.91,0,1,{count}"})
+    with pytest.raises(ConfigError, match=re.escape(
+            f"bad.csv:7: counts must be at most 2**53, where floats stop holding integers "
+            f"exactly, got {shown}")):
+        read_counts_csv(path)
+
+
+def test_csv_reader_accepts_a_count_of_2_to_the_53(tmp_path):
+    table = read_counts_csv(table_with_defects(tmp_path, {7: f"-0.91,0,1,{2**53}"}))
+    assert [rec.counts for rec in table.records] == [(5,) * 4, (5, 2**53, 5, 5), (5,) * 4]
+
+
 # SHA-256 of the ideal-model counts.csv of each shipped preset at its own
 # seed.  Any change to the sampling streams or the CSV format moves these.
 GOLDEN_COUNTS_SHA256 = {
