@@ -360,11 +360,16 @@ class _Scan:
         (n,) = widths
         # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
         self.alphas, self.phases = _scan_phases(cfg, scan_kind, self.currents, self.coords, n)
-        largest = max(max(rec.counts, default=0) for rec in records)
-        if largest > _MAX_COUNT:
-            raise ConfigError("counts must be at most 2**53, where floats stop holding "
-                              f"integers exactly, got {bounded_repr(largest)}")
-        self.counts = np.array([rec.counts for rec in records], dtype=float)
+        try:
+            self.counts = np.array([rec.counts for rec in records], dtype=float)
+            exact = self.counts.max(initial=0.0) < _MAX_COUNT
+        except OverflowError:  # a count beyond the float range
+            exact = False
+        if not exact:  # floats round near 2**53, so the integers decide
+            largest = max(max(rec.counts, default=0) for rec in records)
+            if largest > _MAX_COUNT:
+                raise ConfigError("counts must be at most 2**53, where floats stop holding "
+                                  f"integers exactly, got {bounded_repr(largest)}")
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""
