@@ -24,10 +24,10 @@ call.  The model is linear in ``(A, B cos phi, -B sin phi)``, so one weighted
 solve of each row's ``[1, cos theta, sin theta]`` normal equations gives the
 exact optimum; one matrix product gives every row's normal matrix and
 moments together.  ``analyze_records`` validates the records once and hands
-that scan to all three routes.  ``B = hypot(c, s)`` is non-negative with the sign carried by
-the phase; the (A, B, phi) covariance is the linear-parameter one mapped by
-the delta method (Gauss-Newton for ``B > 0``), so the phase sigma grows
-without bound as ``B`` tends to zero.  A row fails when its normal matrix is
+that scan to all three routes.  ``B = hypot(c, s)`` is non-negative with the
+sign carried by the phase; the (A, B, phi) covariance is the linear-parameter
+one mapped by the delta method (Gauss-Newton for ``B > 0``), so the phase
+sigma grows without bound as ``B`` tends to zero.  A row fails when its normal matrix is
 singular to working precision (too few distinct phases), its amplitude is
 exactly zero (no phase) or its mean level is not positive.  One-row fits and
 the per-point route raise the first failure as ``FitError``; the bootstrap
@@ -49,7 +49,7 @@ from .quantum import (
     classify,
     expectation_from_counts,
 )
-from .synth import _MAX_COUNT, CountsRecord, _point_rng, _poisson_rows
+from .synth import _MAX_COUNT, CountsRecord, _count_over_bound, _point_rng, _poisson_rows
 
 Array = np.ndarray
 
@@ -368,8 +368,7 @@ class _Scan:
         if not exact:  # floats round near 2**53, so the integers decide
             largest = max(max(rec.counts, default=0) for rec in records)
             if largest > _MAX_COUNT:
-                raise ConfigError("counts must be at most 2**53, where floats stop holding "
-                                  f"integers exactly, got {bounded_repr(largest)}")
+                raise ConfigError(_count_over_bound(largest))
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""

@@ -55,6 +55,11 @@ _MAX_CHANNELS = 2**16
 _MAX_COUNT = 2**53  # floats hold every integer up to here exactly
 
 
+def _count_over_bound(count) -> str:
+    return ("counts must be at most 2**53, where floats stop holding integers exactly, "
+            f"got {bounded_repr(count)}")
+
+
 def _finite_tuple(values, name: str) -> tuple[float, ...]:
     try:
         out = tuple(float(v) for v in values)
@@ -353,9 +358,7 @@ def read_counts_csv(path) -> CountsTable:
     coords = parse(2, coordinate, columns[1])
     channels = parse(3, int, columns[2])
     counts = parse(4, int, columns[3])
-    check(5, counts, _MAX_COUNT.__ge__, lambda count: (
-        f"counts must be at most 2**53, where floats stop holding integers exactly, "
-        f"got {bounded_repr(count)}"))
+    check(5, counts, _MAX_COUNT.__ge__, _count_over_bound)
     check(6, currents, math.isfinite, lambda value: f"{header[0]} must be finite, got {value!r}")
     check(7, coords, math.isfinite, lambda value: f"{header[1]} must be finite, got {value!r}")
     if defects:

@@ -570,7 +570,7 @@ def test_csv_reader_rejects_non_finite_coordinates(tmp_path, header, row, column
 
 
 def table_with_defects(tmp_path, defects, rows=12):
-    """A counts CSV of three 4-channel points, with ``defects`` {line: row text} replacing lines."""
+    """A counts CSV of three 4-channel points; ``defects`` maps a line number to its new text."""
     lines = ["current_A,delta_mm,channel,counts"]
     lines += [f"{-0.9 - 0.01 * (i // 4)},0,{i % 4},5" for i in range(rows)]
     for lineno, text in defects.items():
@@ -584,9 +584,11 @@ def table_with_defects(tmp_path, defects, rows=12):
 @pytest.mark.parametrize("defects, message", [
     ({4: "inf,0,2,5", 7: "-0.91,0,1,many"}, "bad.csv:4: current_A must be finite, got inf"),
     ({3: "-0.9,zz,1,5", 9: "-0.91,0,3"}, "bad.csv:3: could not convert string to float: 'zz'"),
-    ({5: "-0.9,0,3,5,5", 8: "-0.91,0,2,x", 10: "nan,0,0,5"}, "bad.csv:5: expected 4 columns, got 5"),
+    ({5: "-0.9,0,3,5,5", 8: "-0.91,0,2,x", 10: "nan,0,0,5"},
+     "bad.csv:5: expected 4 columns, got 5"),
     ({2: "", 6: "-0.91,0,0"}, "bad.csv:6: expected 4 columns, got 3"),
-    ({6: "-0.91,nan,0,-", 11: "-0.92,0,2,5,"}, "bad.csv:6: invalid literal for int() with base 10: '-'"),
+    ({6: "-0.91,nan,0,-", 11: "-0.92,0,2,5,"},
+     "bad.csv:6: invalid literal for int() with base 10: '-'"),
     ({9: "nan,1e999,1.5,5"}, "bad.csv:9: invalid literal for int() with base 10: '1.5'"),
     ({9: f"nan,1e999,0,{2**53 + 1}"}, "bad.csv:9: counts must be at most 2**53, where floats "
                                      "stop holding integers exactly, got 9007199254740993"),
