@@ -332,11 +332,11 @@ def read_counts_csv(path) -> CountsTable:
     # wins, and within a row the ranks keep the order columns, current, coordinate,
     # channel, count, count bound, then finiteness.
     lengths = list(map(len, data))
-    width = min((lengths.index(n) for n in set(lengths) - {4}), default=len(data))
-    columns = list(zip(*data[:width])) or [()] * 4
+    whole = min((lengths.index(n) for n in set(lengths) - {4}), default=len(data))
+    columns = list(zip(*data[:whole])) or [()] * 4
     defects = []
-    if width < len(data):
-        defects.append((width, 0, f"expected 4 columns, got {lengths[width]}", None))
+    if whole < len(data):
+        defects.append((whole, 0, f"expected 4 columns, got {lengths[whole]}", None))
 
     def parse(rank, convert, column) -> list:
         values = []
