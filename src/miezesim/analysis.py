@@ -161,6 +161,10 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
         raise FitError("phase and intensity values must be finite")
     if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
         raise FitError("sigma values must be positive and finite")
+    # The normal equations sum w and w y with w = sigma**-2: neither may overflow.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum((1.0 + np.abs(y)) / sigma / sigma)):
+            raise FitError("sigma values are too small: the fit's weighted sums overflow")
     return theta, y, sigma
 
 

@@ -226,7 +226,7 @@ def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> 
         L2 = (omega1 * L1 - gamma_n * BL / 2) / (omega2 - omega1)
 
     Independent of wavelength.  Raises PhysicsError when the geometry has no
-    positive solution.
+    positive finite solution.
     """
     if not math.isfinite(coil_field_integral):
         raise ValueError(f"field integral must be finite, got {coil_field_integral!r}")
@@ -234,10 +234,9 @@ def focusing_distance(cfg: BeamlineConfig, coil_field_integral: float = 0.0) -> 
     l2 = (cfg.omega1 * cfg.l1 - gamma_n * coil_field_integral / 2.0) / (
         cfg.omega2 - cfg.omega1
     )
-    if l2 <= 0.0:
-        raise PhysicsError(
-            f"focusing condition yields non-positive detector distance {l2!r}"
-        )
+    if not 0.0 < l2 < math.inf:
+        raise PhysicsError("focusing condition yields no positive finite detector distance, "
+                           f"got {l2!r}")
     return l2
 
 

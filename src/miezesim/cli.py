@@ -266,6 +266,8 @@ def cmd_envelope(args) -> int:
 def cmd_focus(args) -> int:
     rc = _load_config(args)
     cfg = rc.beamline
+    if not math.isfinite(args.field_integral_mt_mm):
+        raise ConfigError(f"--field-integral-mt-mm must be finite, got {args.field_integral_mt_mm}")
     field_integral = args.field_integral_mt_mm * _MT_MM
     l2 = focusing_distance(cfg, coil_field_integral=field_integral)
     l2_free = focusing_distance(cfg)

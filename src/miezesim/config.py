@@ -25,7 +25,7 @@ from pathlib import Path
 from .beamline import BeamlineConfig, focusing_distance
 from .errors import ConfigError, bounded_repr
 from .quantum import WitnessSettings, optimal_settings
-from .synth import ScanPlan
+from .synth import ScanPlan, _read_json
 from .wavepacket import PacketShape, WavePacketSpec, spec_from_beamline
 
 __all__ = [
@@ -279,14 +279,7 @@ def parse_run_config(data: dict) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     """Parse and validate a JSON config file."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # undecodable bytes, an integer too long to convert
-        raise ConfigError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     try:
         return parse_run_config(data)
     except ConfigError as exc:

@@ -292,8 +292,28 @@ class CountsTable:
     metadata: dict | None = None
 
 
+def _read_json(path: Path) -> dict:
+    """The JSON object in the file at ``path``; any failure is a ConfigError naming the file."""
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable bytes, an integer too long to convert
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    return data
+
+
 def read_counts_csv(path) -> CountsTable:
-    """Read a counts CSV (plus sidecar metadata, whose plan gives exact coordinates)."""
+    """Read a counts CSV (plus sidecar metadata, whose plan gives exact coordinates).
+
+    Blank rows are skipped.  The first defective line raises ``ConfigError("<path>:<line>:
+    <message>")``.  A line is checked in order: 4 columns; current, coordinate, channel and
+    count parse; count <= 2**53; count >= 0; current finite; coordinate finite.
+    """
     path = Path(path)
     with path.open(newline="", errors="replace") as fh:
         try:
@@ -311,60 +331,40 @@ def read_counts_csv(path) -> CountsTable:
     kind = kinds[header[1]]
     scale = _COORD_SCALE[kind]
     sidecar = path.with_suffix(".meta.json")
-    metadata = None
-    if sidecar.exists():
-        try:
-            metadata = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{sidecar}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        except ValueError as exc:  # undecodable bytes, an integer too long to convert
-            raise ConfigError(f"{sidecar}: {exc}") from exc
-        if not isinstance(metadata, dict):
-            raise ConfigError(f"{sidecar}: expected an object, got {type(metadata).__name__}")
+    metadata = _read_json(sidecar) if sidecar.exists() else None
     try:  # the sidecar plan's coordinates, keyed by the CSV text they were written as
         plan_coords = {_fmt(v * scale): float(v) for v in metadata["plan"][f"{kind}s"]}
     except (TypeError, KeyError, OverflowError):
         plan_coords = {}
 
-    data = list(filter(None, rows[1:]))  # blank rows are skipped
-    # The rows before the first short or long row are parsed column by column.  Each
-    # check notes its first failure as (row, rank, message, cause); the earliest row
-    # wins, and within a row the ranks keep the order columns, current, coordinate,
-    # channel, count, count bound, then finiteness.
-    lengths = list(map(len, data))
-    whole = min((lengths.index(n) for n in set(lengths) - {4}), default=len(data))
-    columns = list(zip(*data[:whole])) or [()] * 4
-    defects = []
-    if whole < len(data):
-        defects.append((whole, 0, f"expected 4 columns, got {lengths[whole]}", None))
+    def parse(table: list[list[str]]) -> tuple[list, list, list, list]:
+        widths = set(map(len, table)) - {4}
+        if widths:
+            raise ValueError(f"expected 4 columns, got {widths.pop()}")
+        currents, coords, channels, counts = list(zip(*table)) or [()] * 4
+        currents = list(map(float, currents))
+        coords = [plan_coords[text] if text in plan_coords else float(text) / scale
+                  for text in coords]
+        channels, counts = list(map(int, channels)), list(map(int, counts))
+        for count in itertools.filterfalse(_MAX_COUNT.__ge__, counts):
+            raise ValueError(_count_over_bound(count))
+        for count in itertools.filterfalse((0).__le__, counts):
+            raise ValueError(f"counts must be non-negative, got {bounded_repr(count)}")
+        for column, values in zip(header, (currents, coords)):
+            for value in itertools.filterfalse(math.isfinite, values):
+                raise ValueError(f"{column} must be finite, got {value!r}")
+        return currents, coords, channels, counts
 
-    def parse(rank, convert, column) -> list:
-        values = []
-        try:
-            values.extend(map(convert, column))  # keeps the values before a failure
-        except ValueError as exc:
-            defects.append((len(values), rank, str(exc), exc))
-        return values
-
-    def check(rank, values, ok, message) -> None:
-        if not all(map(ok, values)):
-            row = next(i for i, value in enumerate(values) if not ok(value))
-            defects.append((row, rank, message(values[row]), None))
-
-    def coordinate(text: str) -> float:
-        return plan_coords[text] if text in plan_coords else float(text) / scale
-
-    currents = parse(1, float, columns[0])
-    coords = parse(2, coordinate, columns[1])
-    channels = parse(3, int, columns[2])
-    counts = parse(4, int, columns[3])
-    check(5, counts, _MAX_COUNT.__ge__, _count_over_bound)
-    check(6, currents, math.isfinite, lambda value: f"{header[0]} must be finite, got {value!r}")
-    check(7, coords, math.isfinite, lambda value: f"{header[1]} must be finite, got {value!r}")
-    if defects:
-        row, _, message, cause = min(defects, key=lambda defect: defect[:2])
-        lineno = [n for n, line in enumerate(rows[1:], start=2) if line][row]
-        raise ConfigError(f"{path}:{lineno}: {message}") from cause
+    try:
+        currents, coords, channels, counts = parse(list(filter(None, rows[1:])))
+    except ValueError:  # name the first defective line
+        for lineno, row in enumerate(rows[1:], start=2):
+            try:
+                if row:
+                    parse([row])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        raise
     # Runs of rows of one point, merged under the first (current, coord) seen.
     grouped: dict[tuple[float, float], list[tuple]] = {}
     for point, run in itertools.groupby(zip(zip(currents, coords), channels, counts),

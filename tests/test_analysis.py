@@ -170,11 +170,22 @@ def test_fit_rejects_exactly_zero_amplitude():
         [(0.0, 1.0, 1.0), (1.0, math.nan, 1.0), (2.0, 1.0, 1.0), (4.0, 1.0, 1.0)],
         [(0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (4.0, 1.0, 1.0)],
         [(0.0, 1.0, -1.0), (1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (4.0, 1.0, 1.0)],
+        # Weights sigma**-2 past the float range, and weighted sums past it.
+        cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e-160),
+        cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e-154),
     ],
 )
 def test_fit_global_validates_points(points):
     with pytest.raises(FitError):
         fit_global(points)
+
+
+def test_fit_with_tiny_uniform_sigma_matches_unit_sigma():
+    # w = 1e300 is still in range; uniform weights leave A and B as at sigma = 1.
+    want = fit_global(cosine_points(10.0, 3.0, 0.3, n=8))
+    got = fit_global(cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e-150))
+    assert math.isclose(got.mean_level, want.mean_level, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(got.amplitude, want.amplitude, rel_tol=0, abs_tol=1e-12)
 
 
 def test_fit_two_pi_shift_is_invariant():

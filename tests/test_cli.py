@@ -258,10 +258,16 @@ def test_witness_on_empty_csv_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("sidecar, fragment", [
     ('{"format_version": 1, "plan": {', "counts.meta.json:1:"),
     ("[1, 2]", "counts.meta.json: expected an object, got list"),
-], ids=["truncated", "not-an-object"])
+    (None, "counts.meta.json: Is a directory"),
+], ids=["truncated", "not-an-object", "directory"])
 def test_witness_on_corrupt_sidecar_exits_2(tmp_path, capsys, sidecar, fragment):
     counts = run_simulate(tmp_path)
-    counts.with_suffix(".meta.json").write_text(sidecar)
+    path = counts.with_suffix(".meta.json")
+    if sidecar is None:  # a directory where the sidecar file belongs
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(sidecar)
     capsys.readouterr()
     code = main(["witness", "--counts", str(counts)])
     assert code == 2
@@ -553,6 +559,20 @@ def test_focus_shift_matches_sensitivity_slope(capsys):
         report["dl2_dbl_mm_per_mt_mm"] * 25.0,
         rel_tol=1e-9,
     )
+
+
+@pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 2), ("-inf", 2), ("-1e308", 3)],
+                         ids=["nan", "inf", "-inf", "l2-overflows"])
+def test_focus_on_non_finite_field_integral_or_l2_exits_cleanly(capsys, value, code):
+    # A non-finite input is a config error; a finite one whose L2 overflows has no focus.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(["focus", "--preset", "cg4b-10khz", f"--field-integral-mt-mm={value}",
+                    "--format", "json"])
+    assert got == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

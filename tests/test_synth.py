@@ -594,9 +594,12 @@ def table_with_defects(tmp_path, defects, rows=12):
                                      "stop holding integers exactly, got 9007199254740993"),
     ({9: "-inf,1e999,0,5"}, "bad.csv:9: current_A must be finite, got -inf"),
     ({9: "-0.92,1e999,0,5"}, "bad.csv:9: delta_mm must be finite, got inf"),
+    ({5: "-0.9,0,3,-5", 8: "-0.91,0,2,x"}, "bad.csv:5: counts must be non-negative, got -5"),
+    ({9: "nan,0,0,-5"}, "bad.csv:9: counts must be non-negative, got -5"),
 ], ids=["finite-before-count", "coordinate-before-short", "long-before-count",
         "short-after-blank", "count-on-a-line-with-nan", "channel-before-finite",
-        "count-bound-before-finite", "current-before-coordinate", "coordinate"])
+        "count-bound-before-finite", "current-before-coordinate", "coordinate",
+        "negative-count-before-bad-count", "sign-before-finite"])
 def test_csv_reader_reports_the_first_defective_line(tmp_path, defects, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         read_counts_csv(table_with_defects(tmp_path, defects))
