@@ -14,7 +14,6 @@ refusal, 3 infeasible physics, 4 fit failure, degenerate data or diagnostic.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -45,7 +44,15 @@ from .errors import (
     PhysicsError,
     ResolutionError,
 )
-from .synth import _fmt, read_counts_csv, simulate_scan, write_counts_csv
+from .synth import (
+    _fmt,
+    _sidecar_path,
+    _write_csv,
+    _write_json,
+    read_counts_csv,
+    simulate_scan,
+    write_counts_csv,
+)
 from .wavepacket import coherence_check, contrast_envelope
 
 __all__ = ["main", "build_parser"]
@@ -158,7 +165,10 @@ def cmd_witness(args) -> int:
             raise ConfigError(
                 f"{args.counts}: no metadata sidecar with a config echo; pass --config/--preset"
             )
-        rc = parse_run_config(echo)
+        try:
+            rc = parse_run_config(echo)
+        except ConfigError as exc:
+            raise ConfigError(f"{_sidecar_path(args.counts)}: {exc}") from exc
     report = analyze_records(
         rc.beamline, table.records, rc.settings,
         channel=args.channel, scan_kind=table.scan_kind,
@@ -176,15 +186,11 @@ def cmd_witness(args) -> int:
 
     out = _out_dir(args, rc)
     report_path = out / "witness.json"
-    with report_path.open("w") as fh:
-        json.dump(_report_json(rc, report, table.scan_kind, seed, boot), fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, _report_json(rc, report, table.scan_kind, seed, boot))
     points_path = out / "fit_points.csv"
-    with points_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase_rad", "intensity", "intensity_err", "model"])
-        for p in report.points:
-            writer.writerow([_fmt(p.phase), _fmt(p.intensity), _fmt(p.sigma), _fmt(p.model)])
+    _write_csv(points_path, ["phase_rad", "intensity", "intensity_err", "model"],
+               ([_fmt(p.phase), _fmt(p.intensity), _fmt(p.sigma), _fmt(p.model)]
+                for p in report.points))
 
     w = report.witness
     print(f"S = {w.s:.4f} +/- {w.sigma_s:.4f} ({w.classification})")
@@ -236,25 +242,17 @@ def cmd_envelope(args) -> int:
         deltas = [(-35.0 + 5.0 * i) * _MM for i in range(15)]
     env = contrast_envelope(rc.beamline, rc.packet, deltas)
     coherence = _coherence_lines(rc)
-    out = _out_dir(args, rc)
+    path = _out_dir(args, rc) / f"envelope.{args.format}"
     if args.format == "json":
-        path = out / "envelope.json"
-        payload = {
+        _write_json(path, {
             "delta_mm": [d / _MM for d, _ in env],
             "contrast": [c for _, c in env],
             "coherence": coherence,
             "tool_version": __version__,
-        }
-        with path.open("w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
     else:
-        path = out / "envelope.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta_mm", "contrast"])
-            for delta, contrast in env:
-                writer.writerow([_fmt(delta / _MM), _fmt(contrast)])
+        _write_csv(path, ["delta_mm", "contrast"],
+                   ([_fmt(delta / _MM), _fmt(contrast)] for delta, contrast in env))
     peak_delta, peak = max(env, key=lambda dc: dc[1])
     print(f"wrote contrast at {len(env)} offsets to {path}")
     print(f"peak contrast {peak:.4f} at delta = {peak_delta / _MM:.4f} mm")
@@ -292,8 +290,7 @@ def cmd_focus(args) -> int:
         "tool_version": __version__,
     }
     if args.format == "json":
-        json.dump(report, sys.stdout, indent=2)
-        print()
+        print(json.dumps(report, indent=2))
         return 0
     print(f"focusing distance L2 = {report['l2_mm']:.4f} mm "
           f"(detector at L1 + L2 = {report['detector_distance_mm']:.4f} mm)")

@@ -26,7 +26,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -205,6 +204,8 @@ def _poisson_rows(key: int, means: np.ndarray) -> np.ndarray:
     One Philox bit generator serves every row: before row i its counter is set
     to i * 2^128 and its buffer marked drained, which is the state
     ``_point_rng(key, i)`` starts from, without building a generator per row.
+    Each row takes its own ``poisson`` call: a draw uses a varying number of words, so
+    one call over all rows would start row i where row i - 1 stopped, not on stream i.
     """
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
@@ -252,6 +253,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _sidecar_path(path) -> Path:
+    return Path(path).with_suffix(".meta.json")
+
+
+def _write_json(path, payload, sort_keys: bool = False) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
                      metadata: dict | None = None) -> Path:
     """Write the counts table and its JSON metadata sidecar.
@@ -260,26 +276,15 @@ def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
     ``metadata`` entries (config echo, model name, versions) are merged into
     the sidecar.
     """
-    path = Path(path)
     kind = plan.scan_kind
     scale = _COORD_SCALE[kind]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["current_A", _COORD_COLUMNS[kind], "channel", "counts"])
-        for rec in records:
-            current, coord = _fmt(rec.current), _fmt(rec.coord * scale)
-            writer.writerows((current, coord, channel, count)
-                             for channel, count in enumerate(rec.counts))
-    sidecar = path.with_suffix(".meta.json")
-    payload = {
-        "format_version": 1,
-        "scan_kind": kind,
-        "plan": asdict(plan),
-    }
-    payload.update(metadata or {})
-    with sidecar.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    points = ((_fmt(rec.current), _fmt(rec.coord * scale), rec.counts) for rec in records)
+    _write_csv(path, ["current_A", _COORD_COLUMNS[kind], "channel", "counts"],
+               ((current, coord, channel, count)
+                for current, coord, counts in points for channel, count in enumerate(counts)))
+    sidecar = _sidecar_path(path)
+    payload = {"format_version": 1, "scan_kind": kind, "plan": asdict(plan), **(metadata or {})}
+    _write_json(sidecar, payload, sort_keys=True)
     return sidecar
 
 
@@ -330,7 +335,7 @@ def read_counts_csv(path) -> CountsTable:
         raise ConfigError(f"{path}: unrecognized coordinate column {header[1]!r}")
     kind = kinds[header[1]]
     scale = _COORD_SCALE[kind]
-    sidecar = path.with_suffix(".meta.json")
+    sidecar = _sidecar_path(path)
     metadata = _read_json(sidecar) if sidecar.exists() else None
     try:  # the sidecar plan's coordinates, keyed by the CSV text they were written as
         plan_coords = {_fmt(v * scale): float(v) for v in metadata["plan"][f"{kind}s"]}
@@ -365,17 +370,16 @@ def read_counts_csv(path) -> CountsTable:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         raise
-    # Runs of rows of one point, merged under the first (current, coord) seen.
-    grouped: dict[tuple[float, float], list[tuple]] = {}
-    for point, run in itertools.groupby(zip(zip(currents, coords), channels, counts),
-                                        key=operator.itemgetter(0)):
-        grouped.setdefault(point, []).extend(run)
+    # Rows of one point, in file order, under the first (current, coord) seen.
+    grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    for point, entry in zip(zip(currents, coords), zip(channels, counts)):
+        grouped.setdefault(point, []).append(entry)
     if not grouped:
         raise ConfigError(f"{path}: no data rows")
 
     records = []
     for (current, coord), entries in grouped.items():
-        _, point_channels, point_counts = zip(*entries)
+        point_channels, point_counts = zip(*entries)
         if point_channels != tuple(range(len(entries))):
             raise ConfigError(
                 f"{path}: point ({current}, {coord}) has non-consecutive channels"

@@ -259,7 +259,9 @@ def test_witness_on_empty_csv_exits_2(tmp_path, capsys):
     ('{"format_version": 1, "plan": {', "counts.meta.json:1:"),
     ("[1, 2]", "counts.meta.json: expected an object, got list"),
     (None, "counts.meta.json: Is a directory"),
-], ids=["truncated", "not-an-object", "directory"])
+    ('{"config_echo": {"beamline": {}}}', "counts.meta.json: beamline."),
+    ('{"config_echo": [1, 2]}', "counts.meta.json: config root"),
+], ids=["truncated", "not-an-object", "directory", "bad-echo-field", "echo-not-an-object"])
 def test_witness_on_corrupt_sidecar_exits_2(tmp_path, capsys, sidecar, fragment):
     counts = run_simulate(tmp_path)
     path = counts.with_suffix(".meta.json")
@@ -272,6 +274,24 @@ def test_witness_on_corrupt_sidecar_exits_2(tmp_path, capsys, sidecar, fragment)
     code = main(["witness", "--counts", str(counts)])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(miezesim.PRESETS))
+def test_unpinned_outputs_keep_their_layout(tmp_path, name):
+    # No SHA pins these files: JSON is indented by 2 and ends in one newline (the sidecar
+    # with sorted keys), and CSV lines end in \r\n under the expected header.
+    sim, wit, env = tmp_path / "sim", tmp_path / "wit", tmp_path / "env"
+    assert main(["simulate", "--preset", name, "--out", str(sim)]) == 0
+    assert main(["witness", "--counts", str(sim / "counts.csv"), "--out", str(wit)]) == 0
+    assert main(["envelope", "--preset", name, "--format", "json", "--out", str(env)]) == 0
+    for path, sort_keys in [(sim / "counts.meta.json", True), (wit / "witness.json", False),
+                            (env / "envelope.json", False)]:
+        text = path.read_bytes().decode()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys) + "\n"
+    lines = (wit / "fit_points.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == "phase_rad,intensity,intensity_err,model"
+    assert len(lines) > 2 and lines[-1] == ""
+    assert not any("\r" in line or "\n" in line for line in lines)
 
 
 def test_witness_on_non_utf8_csv_exits_2(tmp_path, capsys):

@@ -554,6 +554,24 @@ def test_csv_reader_rejects_malformed_input(tmp_path, content, fragment):
         read_counts_csv(path)
 
 
+def test_csv_reader_merges_split_points_in_file_order(tmp_path):
+    # Point A is split around point B, and its zero offset is spelled four ways: the
+    # rows merge in file order under the first key seen, +0.0.
+    path = tmp_path / "split.csv"
+    path.write_text("current_A,delta_mm,channel,counts\n"
+                    "-0.94,0,0,5\n-0.94,0.0,1,6\n"
+                    + "".join(f"-0.9,0.5,{i},{i + 1}\n" for i in range(4))
+                    + "-0.94,-0,2,7\n-0.94,0e0,3,8\n")
+    a, b = read_counts_csv(path).records
+    assert (a.current, a.coord, a.counts) == (-0.94, 0.0, (5, 6, 7, 8))
+    assert math.copysign(1.0, a.coord) == 1.0
+    assert (b.current, b.coord, b.counts) == (-0.9, 0.5 / 1e3, (1, 2, 3, 4))
+    path.write_text("current_A,delta_mm,channel,counts\n"
+                    + "".join(f"-0.94,0,{i},5\n" for i in (0, 2, 1, 3)))
+    with pytest.raises(ConfigError, match="non-consecutive"):
+        read_counts_csv(path)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("header, row, column", [
     ("current_A,delta_mm", "{bad},0", "current_A"),
