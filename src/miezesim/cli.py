@@ -7,15 +7,18 @@ Subcommands:
 * ``envelope`` — tabulate packet contrast versus detector offset.
 * ``focus``    — report the focusing distance and its sensitivities.
 
-Exit codes: 0 success, 2 malformed input, configuration or k-grid resolution
+Exit codes: 0 success, also with no message when a reader such as ``head`` closes
+the stdout pipe early, 2 malformed input, configuration or k-grid resolution
 refusal, 3 infeasible physics, 4 fit failure, degenerate data or diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -351,7 +354,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left (as `| head` does) with what it asked for
+        # Put devnull under stdout's descriptor, if it has one, so the flush at exit passes.
+        with contextlib.suppress(OSError, ValueError):
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
+        return 0
     except (ConfigError, ResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

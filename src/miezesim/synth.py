@@ -23,7 +23,6 @@ bootstrap resamples through this row sampler.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -342,38 +341,29 @@ def read_counts_csv(path) -> CountsTable:
     except (TypeError, KeyError, OverflowError):
         plan_coords = {}
 
-    def parse(table: list[list[str]]) -> tuple[list, list, list, list]:
-        widths = set(map(len, table)) - {4}
-        if widths:
-            raise ValueError(f"expected 4 columns, got {widths.pop()}")
-        currents, coords, channels, counts = list(zip(*table)) or [()] * 4
-        currents = list(map(float, currents))
-        coords = [plan_coords[text] if text in plan_coords else float(text) / scale
-                  for text in coords]
-        channels, counts = list(map(int, channels)), list(map(int, counts))
-        for count in itertools.filterfalse(_MAX_COUNT.__ge__, counts):
-            raise ValueError(_count_over_bound(count))
-        for count in itertools.filterfalse((0).__le__, counts):
-            raise ValueError(f"counts must be non-negative, got {bounded_repr(count)}")
-        for column, values in zip(header, (currents, coords)):
-            for value in itertools.filterfalse(math.isfinite, values):
-                raise ValueError(f"{column} must be finite, got {value!r}")
-        return currents, coords, channels, counts
-
-    try:
-        currents, coords, channels, counts = parse(list(filter(None, rows[1:])))
-    except ValueError:  # name the first defective line
-        for lineno, row in enumerate(rows[1:], start=2):
-            try:
-                if row:
-                    parse([row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        raise
     # Rows of one point, in file order, under the first (current, coord) seen.
     grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
-    for point, entry in zip(zip(currents, coords), zip(channels, counts)):
-        grouped.setdefault(point, []).append(entry)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 columns, got {len(row)}")
+            current, coord, channel, count = row
+            current = float(current)
+            coord = plan_coords[coord] if coord in plan_coords else float(coord) / scale
+            channel, count = int(channel), int(count)
+            if count > _MAX_COUNT:
+                raise ValueError(_count_over_bound(count))
+            if count < 0:
+                raise ValueError(f"counts must be non-negative, got {bounded_repr(count)}")
+            if not math.isfinite(current):
+                raise ValueError(f"{header[0]} must be finite, got {current!r}")
+            if not math.isfinite(coord):
+                raise ValueError(f"{header[1]} must be finite, got {coord!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        grouped.setdefault((current, coord), []).append((channel, count))
     if not grouped:
         raise ConfigError(f"{path}: no data rows")
 

@@ -305,10 +305,12 @@ def _z_values(z, t: float) -> Array:
 
 def _phasors(u: Array, slope: Array, offset) -> Array:
     """e^{i(offset + slope u)} as a (u.size, K) complex array, built in place."""
-    out = np.zeros((u.size, slope.size), dtype=complex)
+    out = np.empty((u.size, slope.size), dtype=complex)
     np.multiply.outer(u, slope, out=out.imag)
     out.imag += offset
-    return np.exp(out, out=out)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
 
 
 def _direct_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array:

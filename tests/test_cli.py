@@ -88,6 +88,24 @@ def test_malformed_config_names_the_field(tmp_path, capsys):
     assert "beamline.wavelength_nm: missing required field" in capsys.readouterr().err
 
 
+# With a buffered stdout the write fails at the final flush, unbuffered at the print.
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_0_silently(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    package_root = str(Path(miezesim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "miezesim.cli", "focus", "--preset", "reseda",
+             "--format", "json"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (0, b"")
+
+
 def test_infeasible_frequencies_exit_3(tmp_path, capsys):
     data = json.loads(json.dumps(SMALL_CONFIG))
     data["beamline"]["f2_khz"] = 45

@@ -614,10 +614,15 @@ def table_with_defects(tmp_path, defects, rows=12):
     ({9: "-0.92,1e999,0,5"}, "bad.csv:9: delta_mm must be finite, got inf"),
     ({5: "-0.9,0,3,-5", 8: "-0.91,0,2,x"}, "bad.csv:5: counts must be non-negative, got -5"),
     ({9: "nan,0,0,-5"}, "bad.csv:9: counts must be non-negative, got -5"),
+    ({7: f"-0.91,0,1,{'9' * 5000}", 11: "inf,0,1,5"}, "bad.csv:7: Exceeds the limit (4300 digits)"),
+    ({5: ",,,", 8: "-0.91,0,2,x"}, "bad.csv:5: could not convert string to float: ''"),
+    ({13: "-0.92,0,3,x"}, "bad.csv:13: invalid literal for int() with base 10: 'x'"),
+    ({9: "-0.92,0,x,y"}, "bad.csv:9: invalid literal for int() with base 10: 'x'"),
 ], ids=["finite-before-count", "coordinate-before-short", "long-before-count",
         "short-after-blank", "count-on-a-line-with-nan", "channel-before-finite",
         "count-bound-before-finite", "current-before-coordinate", "coordinate",
-        "negative-count-before-bad-count", "sign-before-finite"])
+        "negative-count-before-bad-count", "sign-before-finite", "count-too-long-to-parse",
+        "all-empty-row", "last-line", "channel-before-count"])
 def test_csv_reader_reports_the_first_defective_line(tmp_path, defects, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         read_counts_csv(table_with_defects(tmp_path, defects))
