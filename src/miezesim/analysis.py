@@ -584,8 +584,10 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     from ``simulate_scan``'s streams, so equal seeds share no draws.  More
     than 5% failed refits raises a diagnostic error.
     """
-    if resamples < 100:
-        raise ConfigError(f"resamples must be >= 100, got {bounded_repr(resamples)}")
+    if not 100 <= resamples <= 2**16 or int(resamples) != resamples:
+        raise ConfigError("resamples must be an integer in [100, 2**16], "
+                          f"got {bounded_repr(resamples)}")
+    resamples = int(resamples)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {bounded_repr(seed)}")
     theta, observed, _ = _Scan(cfg, records, scan_kind).channel_points(channel)

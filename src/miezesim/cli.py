@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import AnalysisReport, WitnessResult, analyze_records, bootstrap_uncertainty
-from .beamline import _scan_phases, energy_phase, focusing_distance, mieze_frequency
+from .beamline import _scan_phases, focusing_distance, mieze_frequency
 from .config import (
     _KHZ,
     _MM,
@@ -48,6 +48,7 @@ from .errors import (
     ResolutionError,
 )
 from .synth import (
+    INTENSITY_MODELS,
     _fmt,
     _sidecar_path,
     _write_csv,
@@ -92,11 +93,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         plan = replace(plan, rng_seed=args.seed)
         rc = replace(rc, plan=plan)
-    packet = rc.packet
-    if args.model == "wavepacket" and packet is None:
+    if args.model == "wavepacket" and rc.packet is None:
         raise ConfigError("packet: missing required section for the wavepacket model")
-    records = simulate_scan(rc.beamline, plan, intensity_model=args.model,
-                            packet_spec=packet if args.model == "wavepacket" else None)
+    records = simulate_scan(rc.beamline, plan, intensity_model=args.model, packet_spec=rc.packet)
     out = _out_dir(args, rc)
     csv_path = out / "counts.csv"
     sidecar = write_counts_csv(
@@ -217,14 +216,14 @@ def cmd_witness(args) -> int:
 
 def _coherence_lines(rc: RunConfig) -> list[str]:
     lines = []
-    if rc.plan is None or rc.packet is None:
+    if rc.plan is None:
         return lines
-    cfg, plan = rc.beamline, rc.plan
-    alphas, _ = _scan_phases(cfg, plan.scan_kind, plan.currents, plan.coords,
-                             plan.time_channels_per_period)
+    plan = rc.plan
+    alphas, phases = _scan_phases(rc.beamline, plan.scan_kind, plan.currents, plan.coords,
+                                  plan.time_channels_per_period)
     checks = [("spin-phase", np.abs(alphas).max())]
-    if plan.detunings is None:
-        checks.append(("energy-phase", np.abs(energy_phase(cfg, np.array(plan.offsets))).max()))
+    if plan.detunings is None:  # channel 0 is at t = 0, where the phase is gamma alone
+        checks.append(("energy-phase", np.abs(phases[:, 0]).max()))
     for label, phase in checks:
         chk = coherence_check(phase, rc.packet)
         verdict = "satisfied" if chk.satisfied else "VIOLATED"
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(sim, required=True)
     sim.add_argument("--seed", type=int, default=None, help="override the plan's RNG seed")
     sim.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    sim.add_argument("--model", choices=["ideal", "wavepacket"], default="ideal",
+    sim.add_argument("--model", choices=INTENSITY_MODELS, default="ideal",
                      help="intensity model (default: ideal)")
     sim.set_defaults(func=cmd_simulate)
 
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(wit, required=False)
     wit.add_argument("--channel", type=int, default=0, help="time channel for the global fit")
     wit.add_argument("--bootstrap", type=int, default=0, metavar="N",
-                     help="also estimate sigma_S from N >= 100 Poisson resamples")
+                     help="also estimate sigma_S from N Poisson resamples, 100 <= N <= 2**16")
     wit.add_argument("--seed", type=int, default=None, help="bootstrap RNG seed")
     wit.add_argument("--out", metavar="DIR", default=None, help="output directory")
     wit.set_defaults(func=cmd_witness)

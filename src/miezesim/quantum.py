@@ -81,10 +81,6 @@ class ObservableAngle:
     def __post_init__(self) -> None:
         _check_angle(self.angle)
 
-    def canonical(self) -> "ObservableAngle":
-        """Same direction with the angle reduced to [0, 2*pi)."""
-        return ObservableAngle(self.angle % (2.0 * math.pi), self.subsystem)
-
 
 @dataclass(frozen=True)
 class WitnessSettings:

@@ -51,6 +51,7 @@ INTENSITY_MODELS = ("ideal", "wavepacket")
 _MAX_SEED = 2**64
 _MAX_CHANNELS = 2**16
 _MAX_COUNT = 2**53  # floats hold every integer up to here exactly
+_MAX_MEAN = 2**52  # tens of millions of sigma below _MAX_COUNT
 
 
 def _count_over_bound(count) -> str:
@@ -77,7 +78,8 @@ class ScanPlan:
     ``offsets`` are detector translations in meters.  For frequency-detuning
     scans supply ``detunings`` (rad/s) instead; the offsets are then ignored.
     ``counts_scale`` is N0, the expected max+min counts per point;
-    ``background_rate`` is a flat per-channel mean added on top.
+    ``background_rate`` is a flat per-channel mean added on top; their sum, the
+    largest channel mean, is at most 2**52, so draws stay far below 2**53.
     ``time_channels_per_period`` is an integer from 4 to 2**16.
     """
 
@@ -106,6 +108,9 @@ class ScanPlan:
             raise ConfigError(
                 f"background_rate must be non-negative, got {self.background_rate!r}"
             )
+        if self.background_rate + self.counts_scale > _MAX_MEAN:
+            raise ConfigError("background_rate + counts_scale must be at most 2**52, "
+                              f"got {self.background_rate + self.counts_scale!r}")
         if not math.isfinite(self.phase_offset):
             raise ConfigError(f"phase_offset must be finite, got {self.phase_offset!r}")
         seed = self.rng_seed
@@ -161,23 +166,20 @@ def _point_means(cfg: BeamlineConfig, plan: ScanPlan, currents, coords,
 
 
 def _effective_contrasts(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str,
-                         packet_spec: WavePacketSpec | None, coords) -> dict[float, float]:
+                         packet_spec: WavePacketSpec | None, coords) -> list[float]:
     """Contrast at each of ``coords``, coordinates of ``plan``, under the intensity model."""
     if intensity_model not in INTENSITY_MODELS:
         raise ConfigError(
             f"intensity_model must be one of {INTENSITY_MODELS}, got {intensity_model!r}"
         )
     if intensity_model == "ideal":
-        return {coord: cfg.contrast for coord in coords}
+        return [cfg.contrast] * len(coords)
     if packet_spec is None:
         raise ConfigError("wavepacket intensity model requires a packet spec")
-    if plan.scan_kind == "detuning":
-        offsets = [0.0]
-        envelope = dict(contrast_envelope(cfg, packet_spec, offsets))
-        return {coord: cfg.contrast * envelope[0.0] for coord in coords}
-    unique = list(dict.fromkeys(coords))
-    envelope = dict(contrast_envelope(cfg, packet_spec, unique))
-    return {coord: cfg.contrast * envelope[coord] for coord in coords}
+    # A detuning scan keeps the detector at the focus.
+    offsets = coords if plan.scan_kind == "offset" else [0.0] * len(coords)
+    envelope = dict(contrast_envelope(cfg, packet_spec, dict.fromkeys(offsets)))
+    return [cfg.contrast * envelope[offset] for offset in offsets]
 
 
 def expected_channel_means(cfg: BeamlineConfig, plan: ScanPlan, current: float,
@@ -186,9 +188,9 @@ def expected_channel_means(cfg: BeamlineConfig, plan: ScanPlan, current: float,
     """Model channel means mu_i for one scan point (no sampling)."""
     wanted = [coord] if coord in plan.coords else []
     contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec, wanted)
-    if coord not in contrasts:
+    if not contrasts:
         raise ConfigError(f"scan coordinate {coord!r} is not part of the plan")
-    return _point_means(cfg, plan, current, coord, contrasts[coord])
+    return _point_means(cfg, plan, current, coord, contrasts[0])
 
 
 def _point_rng(seed: int, point_index: int) -> np.random.Generator:
@@ -228,8 +230,7 @@ def simulate_scan(cfg: BeamlineConfig, plan: ScanPlan, intensity_model: str = "i
     index.
     """
     contrasts = _effective_contrasts(cfg, plan, intensity_model, packet_spec, plan.coords)
-    means = _point_means(cfg, plan, plan.currents, plan.coords,
-                         [contrasts[coord] for coord in plan.coords])
+    means = _point_means(cfg, plan, plan.currents, plan.coords, contrasts)
     counts = _poisson_rows(plan.rng_seed, means.reshape(-1, plan.time_channels_per_period))
     grid = [(current, coord) for current in plan.currents for coord in plan.coords]
     return [CountsRecord(current=current, coord=coord, counts=tuple(row))

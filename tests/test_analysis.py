@@ -849,6 +849,20 @@ def test_bootstrap_rejects_too_few_resamples():
         bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=99)
 
 
+@pytest.mark.parametrize("resamples", [2**16 + 1, 150.5, 2**63 - 1])
+def test_bootstrap_rejects_resamples_outside_the_integers_up_to_2_to_the_16(resamples):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
+    with pytest.raises(ConfigError, match="resamples"):
+        bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=resamples)
+
+
+def test_bootstrap_takes_an_integral_float_resample_count():
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
+    boot = bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=100.0)
+    assert boot == bootstrap_uncertainty(CFG, recs, SETTINGS, resamples=100)
+    assert type(boot.resamples) is int
+
+
 def test_bootstrap_counts_each_failed_refit():
     # Channel-0 counts of 1 at four points and 0 elsewhere: a few resamples
     # are all zero, refit to B = 0 exactly and count as failures.  The rest

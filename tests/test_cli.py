@@ -8,11 +8,19 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import miezesim
-
-from miezesim import __version__, load_preset, optimal_settings, parse_run_config
+from miezesim import (
+    __version__,
+    coherence_check,
+    energy_phase,
+    load_preset,
+    optimal_settings,
+    parse_run_config,
+    spin_phase,
+)
 from miezesim.config import preset_text
 from miezesim.cli import main
 
@@ -179,6 +187,20 @@ def test_simulate_wavepacket_model(tmp_path, capsys):
     assert "packet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts_scale", [1e19, 1e18])
+def test_simulate_with_a_largest_mean_over_2_to_the_52_exits_2(tmp_path, capsys, counts_scale):
+    data = json.loads(json.dumps(SMALL_CONFIG))
+    data["plan"]["counts_scale"] = counts_scale
+    out_dir = tmp_path / "sim"
+    code = main(["simulate", "--config", str(write_config(tmp_path, data)),
+                 "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "background_rate + counts_scale must be at most 2**52" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "counts.csv").exists()
+
+
 def test_simulate_from_preset(tmp_path, capsys):
     code = main(["simulate", "--preset", "cg4b-10khz", "--out", str(tmp_path)])
     assert code == 0
@@ -248,6 +270,36 @@ def test_witness_with_bootstrap(tmp_path, capsys):
                  "--bootstrap", "5"])
     assert code == 2
     assert "resamples" in capsys.readouterr().err
+
+
+def test_witness_with_a_bootstrap_over_2_to_the_16_exits_2(tmp_path, capsys):
+    counts = run_simulate(tmp_path)
+    capsys.readouterr()
+    code = main(["witness", "--counts", str(counts), "--out", str(tmp_path / "wit"),
+                 "--bootstrap", "9223372036854775807"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resamples must be an integer in [100, 2**16]")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+DETUNING_CONFIG = {**SMALL_CONFIG, "plan": {
+    **{k: v for k, v in SMALL_CONFIG["plan"].items() if k != "offsets_mm"},
+    "detunings_rad_per_s": [-3000, -1500, 1500, 3000],
+}}
+
+
+def test_witness_on_a_detuning_table_has_no_count_route(tmp_path, capsys):
+    out_dir = tmp_path / "det"
+    cfg = write_config(tmp_path, DETUNING_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    code = main(["witness", "--counts", str(out_dir / "counts.csv"), "--out", str(out_dir)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "count-ratio" not in out and "per-point fit route" in out
+    report = json.loads((out_dir / "witness.json").read_text())
+    assert report["scan_kind"] == "detuning"
+    assert report["count_route"] is None
 
 
 def test_witness_without_echo_requires_config(tmp_path, capsys):
@@ -534,6 +586,37 @@ def test_envelope_json_format(tmp_path):
     assert payload["tool_version"] == __version__
     assert len(payload["delta_mm"]) == len(payload["contrast"]) == 9
     assert any("VIOLATED" in line for line in payload["coherence"])
+
+
+@pytest.mark.parametrize("data, coherence", [
+    (DETUNING_CONFIG, ["spin-phase"]),
+    ({k: v for k, v in SMALL_CONFIG.items() if k != "plan"}, []),
+], ids=["detuning", "no-plan"])
+def test_envelope_without_plan_offsets_tabulates_the_default_offsets(tmp_path, capsys, data,
+                                                                     coherence):
+    out_dir = tmp_path / "env"
+    code = main(["envelope", "--config", str(write_config(tmp_path, data)),
+                 "--out", str(out_dir), "--format", "json"])
+    assert code == 0
+    payload = json.loads((out_dir / "envelope.json").read_text())
+    assert payload["delta_mm"] == pytest.approx([-35.0 + 5.0 * i for i in range(15)])
+    assert [line.split()[1] for line in payload["coherence"]] == coherence
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines()
+            if line.startswith("coherence:")] == coherence
+
+
+@pytest.mark.parametrize("name", sorted(miezesim.PRESETS))
+def test_envelope_coherence_checks_the_plan_phases(tmp_path, monkeypatch, name):
+    # The energy-phase check takes the largest |gamma| over the plan's offsets,
+    # bit for bit, and the spin-phase check the largest |alpha| over its currents.
+    checked = []
+    monkeypatch.setattr(miezesim.cli, "coherence_check",
+                        lambda phase, spec: checked.append(phase) or coherence_check(phase, spec))
+    assert main(["envelope", "--preset", name, "--out", str(tmp_path)]) == 0
+    rc = load_preset(name)
+    assert checked == [np.abs(spin_phase(rc.beamline, np.array(rc.plan.currents))).max(),
+                       np.abs(energy_phase(rc.beamline, np.array(rc.plan.offsets))).max()]
 
 
 def test_envelope_requires_packet(tmp_path, capsys):

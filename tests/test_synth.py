@@ -92,6 +92,12 @@ def model_means(cfg, plan, current, coord):
         {"currents": (-0.94,), "counts_scale": 0.0},
         {"currents": (-0.94,), "counts_scale": math.inf},
         {"currents": (-0.94,), "background_rate": -1.0},
+        # The largest channel mean, background_rate + counts_scale, is over 2**52.
+        {"currents": (-0.94,), "counts_scale": 1e19},
+        {"currents": (-0.94,), "counts_scale": 1e18},
+        {"currents": (-0.94,), "counts_scale": 2.0**52, "background_rate": 1.0},
+        {"currents": (-0.94,), "counts_scale": np.nextafter(2.0**52, math.inf)},
+        {"currents": (-0.94,), "counts_scale": 1.0, "background_rate": 2.0**52},
         {"currents": (-0.94,), "phase_offset": math.nan},
         {"currents": (-0.94,), "rng_seed": -1},
         {"currents": (-0.94,), "rng_seed": 2**64},
@@ -101,6 +107,15 @@ def model_means(cfg, plan, current, coord):
 def test_plan_validation(kwargs):
     with pytest.raises(ConfigError):
         ScanPlan(**kwargs)
+
+
+def test_plan_at_a_largest_mean_of_2_to_the_52_round_trips(tmp_path):
+    plan = ScanPlan(currents=(-0.94,), time_channels_per_period=4, counts_scale=2.0**52)
+    records = simulate_scan(CFG, plan)
+    assert len(records) == 1 and max(records[0].counts) < 2**53
+    path = tmp_path / "huge.csv"
+    write_counts_csv(path, records, plan)
+    assert list(read_counts_csv(path).records) == records
 
 
 def test_plan_scan_kind_and_coords():
@@ -408,6 +423,21 @@ def test_wavepacket_model_damps_contrast_off_focus():
     assert 0.5 < ratio[0] < 0.95
     envelope = dict(contrast_envelope(wide, spec, [0.15]))[0.15]
     assert math.isclose(ratio[0], envelope, rel_tol=1e-9)
+
+
+def test_wavepacket_detuning_scan_uses_the_focus_envelope():
+    # The detector stays at the focus in a detuning scan, so every point sees the
+    # envelope at offset 0: the ideal means at contrast C * envelope(0).
+    spec = spec_from_beamline(WIDE)
+    plan = ScanPlan(currents=(-0.94, -0.9), detunings=(-300.0, 0.0, 800.0),
+                    time_channels_per_period=5, background_rate=4.0, rng_seed=5)
+    focus = replace(WIDE, contrast=WIDE.contrast * contrast_envelope(WIDE, spec, [0.0])[0][1])
+    for current in plan.currents:
+        for coord in plan.coords:
+            assert np.array_equal(
+                expected_channel_means(WIDE, plan, current, coord, "wavepacket", spec),
+                expected_channel_means(focus, plan, current, coord))
+    assert simulate_scan(WIDE, plan, "wavepacket", spec) == simulate_scan(focus, plan)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
