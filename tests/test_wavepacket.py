@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miezesim import wavepacket
 from miezesim import (
@@ -515,19 +516,19 @@ def test_length_one_z_array_returns_an_array():
 def quadrature_paths(monkeypatch):
     """The path each k-integral takes, in call order: "factored" or "direct"."""
     taken = []
-    factored = wavepacket._factored_k_sum
+    factored = wavepacket._chebyshev_k_sum
 
     def spy(*args):
         out = factored(*args)
         taken.append("direct" if out is None else "factored")
         return out
 
-    monkeypatch.setattr(wavepacket, "_factored_k_sum", spy)
+    monkeypatch.setattr(wavepacket, "_chebyshev_k_sum", spy)
     return taken
 
 
 def direct_only(monkeypatch):
-    monkeypatch.setattr(wavepacket, "_factored_k_sum", lambda *args: None)
+    monkeypatch.setattr(wavepacket, "_chebyshev_k_sum", lambda *args: None)
 
 
 def transport_window(state, t, planes=1201):
@@ -704,7 +705,7 @@ def test_plane_on_a_chebyshev_point_takes_its_value():
     slope = np.linspace(-reach, reach, 512) / u[-1]
     weights = rng.normal(size=512) + 1j * rng.normal(size=512)
     offset = rng.uniform(-np.pi, np.pi, 512)
-    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
     assert np.all(np.isfinite(got))
     for plane in (0, 200, 400):  # both ends and the centre lie on points
         assert got[plane] == direct_sum(weights, offset, slope, u[plane:plane + 1])[0]
@@ -724,7 +725,7 @@ def test_reversed_window_gives_the_reversed_result(quadrature_paths):
 
 
 # ---------------------------------------------------------------------------
-# the Chebyshev point values: each +-x pair from one real cos/sin row, and the
+# the Chebyshev point values: the Jacobi-Anger series at every point, and the
 # direct sum only at planes that lie exactly on a point
 
 
@@ -759,7 +760,7 @@ def test_dyadic_window_takes_the_direct_sum_at_each_plane_on_a_point(phasor_rows
     u = np.arange(-200, 201) * 2.0**-30
     assert (chebyshev_degree(reach) % 2 == 0) == (200 in on_points)
     weights, offset, slope = random_sum(21, reach, u[-1])
-    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
     assert sum(phasor_rows) == len(on_points)
     for plane in on_points:
         assert got[plane] == direct_sum(weights, offset, slope, u[plane:plane + 1])[0]
@@ -775,7 +776,7 @@ def test_off_centre_window_with_large_offsets_matches_the_direct_sum(reach, cent
     half = 2e-7
     u = (centre + np.linspace(-1.0, 1.0, 301)) * half
     weights, offset, slope = random_sum(int(reach * 10 + centre), reach, half, 1e3)
-    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
     assert got is not None
     want = direct_sum(weights, offset, slope, u)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
@@ -786,7 +787,7 @@ def test_window_with_no_plane_on_a_point_builds_no_phasor_row(phasor_rows):
     # end planes map just off +-1 and an even plane count has no centre plane.
     u = np.linspace(0.1, 0.2, 300)
     weights, offset, slope = random_sum(29, 12.5, 0.05)
-    got = wavepacket._factored_k_sum(weights, offset, slope, u)
+    got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
     assert sum(phasor_rows) == 0
     want = direct_sum(weights, offset, slope, u)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
@@ -816,3 +817,57 @@ def test_position_intensity_checks_the_projection_before_the_transport(monkeypat
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="spin projection"):
             position_intensity(state, transport_window(state, t), t, spin_projection=angle)
+
+
+# ---------------------------------------------------------------------------
+# the Bessel orders behind the Chebyshev coefficients, and the interpolated
+# sum against the direct one over drawn windows
+
+
+def bessel_integral(a, degree, points=512):
+    """J_0 ... J_degree at each a from (1/pi) int_0^pi cos(n tau - a sin tau), trapezoid rule."""
+    tau = np.linspace(0.0, math.pi, points)
+    weights = np.full(points, math.pi / (points - 1))
+    weights[[0, -1]] /= 2.0
+    phase = np.arange(degree + 1)[:, None, None] * tau - np.multiply.outer(a, np.sin(tau))
+    return np.cos(phase) @ weights / math.pi
+
+
+@pytest.mark.parametrize("reach", [0.5, 1.0, 2.0, 5.0, 12.0, 30.0, 47.0, 80.0])
+def test_bessel_orders_match_the_bessel_integral(reach):
+    # 0 and 1e-12 take the small-argument values, and 1e-6 grows by about
+    # 2n / 1e-6 an order, which overflows unless the recurrence rescales.
+    degree = chebyshev_degree(reach)
+    a = np.r_[0.0, 1e-12, 1e-6, np.linspace(0.5, reach, 9)]
+    a = np.r_[a, -a]
+    got = wavepacket._bessel_orders(a, degree)
+    assert got.shape == (degree + 1, a.size)
+    assert np.max(np.abs(got - bessel_integral(a, degree))) <= 1e-14
+    sign = (-1.0) ** np.arange(degree + 1)[:, None]
+    half = a.size // 2
+    assert np.max(np.abs(got[:, half:] - sign * got[:, :half])) <= 1e-15
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    reach=st.floats(0.1, 90.0),
+    centre=st.floats(-10.0, 10.0),
+    extra_planes=st.integers(2, 200),
+    low=st.floats(-1.0, -0.05),
+    high=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chebyshev_k_sum_matches_the_direct_sum(reach, centre, extra_planes, low, high, seed):
+    # Slopes run from low to high through 0, as a packet's do across its k
+    # grid, scaled so that the larger end reaches ``reach`` over the window.
+    half = 2e-7
+    planes = chebyshev_degree(reach) + 1 + extra_planes
+    u = (centre + np.linspace(-1.0, 1.0, planes)) * half
+    rng = np.random.default_rng(seed)
+    slope = np.linspace(low, high, 256) * reach / (max(-low, high) * half)
+    weights = rng.normal(size=256) + 1j * rng.normal(size=256)
+    offset = rng.uniform(-math.pi, math.pi, 256)
+    got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
+    assert got is not None
+    want = direct_sum(weights, offset, slope, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
