@@ -16,11 +16,16 @@ function of the plane, so a window with more planes than the Chebyshev
 points its phase reach needs is evaluated at those points from its
 Chebyshev series and interpolated to every plane, instead of a phasor per
 plane and k sample; any other window is summed directly, as one complex
-matrix-vector product.  The series coefficients are Jacobi-Anger sums of
-Bessel values, which Miller's backward recurrence gives by arithmetic alone,
-so the N + 1 point values take K complex exponentials and one (N + 1)^2
-cosine table instead of N + 1 complex phasor rows; a plane that lies exactly
-on a point takes the direct sum there.
+matrix-vector product per k sum.  The series coefficients are
+Jacobi-Anger sums of Bessel values, which Miller's backward recurrence
+gives by arithmetic alone, so the N + 1 point values take K complex
+exponentials and one (N + 1)^2 cosine table instead of N + 1 complex
+phasor rows; a plane that lies exactly on a point takes the direct sum
+there.  The two spin branches share their window, so they are summed as
+one stack: one degree, from the larger of their phase reaches, one
+recurrence over both branches' k values, and one barycentric table.  A
+binary search of the planes among the points finds the planes that lie
+exactly on one.
 The dispersion relation is linearized about k0,
 ``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``:
 the dropped quadratic term is common to both spin branches, so every
@@ -303,6 +308,8 @@ def _guard(phase: Array, label: str) -> None:
 
 def _z_values(z, t: float) -> Array:
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    if z_arr.ndim > 1:
+        raise ValueError("z must be a scalar or a 1-d array")
     if not np.all(np.isfinite(z_arr)) or not math.isfinite(t):
         raise ValueError("z and t must be finite")
     return z_arr
@@ -319,7 +326,14 @@ def _phasors(u: Array, slope: Array, offset) -> Array:
 
 
 def _direct_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array:
-    """sum_k weights e^{i(offset + slope u)} at each u, one phasor row per plane."""
+    """sum_k weights e^{i(offset + slope u)} at each u, one phasor row per plane.
+
+    ``offset`` and ``slope`` are (K,), which gives (Z,), or a (B, K) stack,
+    which gives (B, Z) one row at a time; ``weights`` broadcasts against them.
+    """
+    if np.ndim(slope) == 2:
+        return np.array([_direct_sum(*row, u) for row in
+                         zip(np.broadcast_to(weights, np.shape(slope)), offset, slope)])
     # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
     return np.einsum("zk,k->z", _phasors(u, slope, offset), weights)
 
@@ -379,23 +393,38 @@ def _bessel_orders(a: Array, degree: int) -> Array:
     return out
 
 
+def _points_hit(x: Array, nodes: Array) -> tuple[Array, Array]:
+    """(plane, point) indices of every x equal to a point, as np.nonzero(x[:, None] == nodes).
+
+    The points descend, so a binary search of each x among them reversed
+    finds the one point it can equal.
+    """
+    rising = nodes[::-1]
+    at = np.minimum(np.searchsorted(rising, x), nodes.size - 1)
+    plane = np.flatnonzero(rising[at] == x)
+    return plane, nodes.size - 1 - at[plane]
+
+
 def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array | None:
     """sum_k weights e^{i(offset + slope u)} at each u, interpolated from Chebyshev points.
 
-    None, for the direct sum, when the window is of zero or non-finite width
-    or needs as many Chebyshev points as it has planes.  The planes may come
-    in any order and at any spacing: the interpolant holds anywhere inside
-    the window.
+    ``offset`` and ``slope`` are (K,) for one sum, which gives (Z,), or
+    (B, K) for a stack of B sums over the same window, which gives (B, Z);
+    ``weights`` broadcasts against them.  None, for the direct sum, when the
+    window is of zero or non-finite width or needs as many Chebyshev points
+    as it has planes.  The planes may come in any order and at any spacing:
+    the interpolant holds anywhere inside the window.
 
     With mid and h the window's centre and half-width, u = mid + h x maps it
     onto x in [-1, 1], where the sum is F(x) = sum_k V_k e^{i a_k x} with
     V_k = weights e^{i(offset + slope mid)} and a_k = slope h.  By
     Jacobi-Anger F = sum_n c_n T_n(x), c_n = e_n i^n sum_k V_k J_n(a_k)
     (e_0 = 1, e_n = 2), and |J_n(a)| <= (|a|/2)^n / n!.  With the reach
-    A = max|a_k|, the degree N is the least with (A/2)^(N+1) / (N+1)! below
-    ``_CHEBYSHEV_TAIL`` (1e-18).  Past N + 1, which then exceeds e A/2,
-    each bound is under 1/e of the one before, so the dropped terms sum to
-    less than 2 * 1e-18 / (1 - 1/e) < 3.2e-18 of sum|V|.
+    A = max|a_k|, the largest over every row of a stack, the degree N is the
+    least with (A/2)^(N+1) / (N+1)! below ``_CHEBYSHEV_TAIL`` (1e-18).  Past
+    N + 1, which then exceeds e A/2, each bound is under 1/e of the one
+    before, so the dropped terms sum to less than 2 * 1e-18 / (1 - 1/e)
+    < 3.2e-18 of sum|V|, in every row.
 
     The degree-N series is evaluated at the N + 1 Chebyshev points of the
     second kind, x_j = cos(pi j / N), through one (N + 1)^2 table of
@@ -405,18 +434,21 @@ def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> A
     stay below 3.2e-18 of sum|V|, with no aliasing onto the kept ones.
 
     The rounding of the kept terms dominates.  J_0 ... J_N come from Miller's
-    backward recurrence (``_bessel_orders``), arithmetic only, each within
-    3e-15 of the true value for A up to 90; so each c_n is within
-    e_n * 3e-15 of sum|V|, and F within 2 (N + 1) * 3e-15 of sum|V| at
-    worst.  Those errors vary in sign over n and k, and in practice F stays
-    within about 2e-16 sum|V| of the exact sum at the points, while the
-    direct sum's own rounding, from phases of up to hundreds of rad, is some
-    1e-15 sum|V|.  A transport window (A ~ 12) needs 41 points, so 49 orders
-    of recurrence over 4096 k and 4096 complex exponentials, instead of a
-    phasor per plane.  The points are computed as sin(pi m / 2N),
-    m = N, N - 2, ..., -N, so that they are exactly symmetric and the middle
-    one is 0; a plane that lies exactly on a point takes the direct sum
-    there, one phasor row per such plane.
+    backward recurrence (``_bessel_orders``), one run over the B K values of
+    a_k, arithmetic only, each within 3e-15 of the true value for A up to
+    90; so each c_n is within e_n * 3e-15 of sum|V|, and F within
+    2 (N + 1) * 3e-15 of sum|V| at worst.  Those errors vary in sign over n
+    and k, and in practice F stays within about 2e-16 sum|V| of the exact
+    sum at the points, while the direct sum's own rounding, from phases of
+    up to hundreds of rad, is some 1e-15 sum|V|.  A transport window
+    (A ~ 12) needs 41 points, so 49 orders of recurrence over 4096 k and
+    4096 complex exponentials per row, instead of a phasor per plane.  The
+    rows share the points, the cosine table and the barycentric table, and
+    each stage is one real matrix product over all rows.  The points are
+    computed as sin(pi m / 2N), m = N, N - 2, ..., -N, so that they are
+    exactly symmetric and the middle one is 0.  A plane that lies exactly on
+    a point, found by a binary search of the planes among the points, takes
+    each row's direct sum there, one phasor row per such plane and row.
     """
     n = u.size
     low, high = float(u.min()), float(u.max())  # Python floats overflow to inf silently
@@ -436,39 +468,51 @@ def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> A
     upper = np.sin(math.pi * np.arange(degree, -1, -2) / (2 * degree))
     lower = upper[:(degree + 1) // 2][::-1]
     nodes = np.r_[upper, -lower]
-    v = weights * np.exp(1j * (offset + slope * mid))
-    bessel = _bessel_orders(slope * half, degree)
-    # two real einsums against contiguous parts: a real x complex one casts the table
-    re, im = (np.einsum("nk,k->n", bessel, np.ascontiguousarray(part)) for part in (v.real, v.imag))
+    offsets, slopes = np.atleast_2d(offset, slope)
+    rows = slopes.shape[0]
+    v = weights * np.exp(1j * (offsets + slopes * mid))
+    bessel = _bessel_orders((slopes * half).ravel(), degree).reshape(degree + 1, rows, -1)
+    # each row's J_n against its V as (re, im) pairs, a real product: real x complex
+    # would cast the table; then sum_k V_k J_n(a_k) as (N + 1, B) complex
+    pairs = np.matmul(bessel.transpose(1, 0, 2), v.view(float).reshape(rows, -1, 2))
+    coeffs = np.ascontiguousarray(pairs.transpose(1, 0, 2)).view(complex)[..., 0]
     orders = np.arange(degree + 1)
-    coeffs = (re + 1j * im) * np.array([1.0, 1j, -1.0, -1j])[orders % 4]
+    coeffs *= np.array([1.0, 1j, -1.0, -1j])[orders % 4, None]
     coeffs[1:] *= 2.0
     # cos(n theta_j) at theta_j = pi j / N, from n j reduced mod 2N
     table = np.cos(math.pi / degree * (np.multiply.outer(orders, orders) % (2 * degree)))
-    values = np.einsum("jn,n->j", table, coeffs)
-    gaps = np.subtract.outer((u - mid) / half, nodes)
-    row, col = np.nonzero(gaps == 0.0)  # a plane on a point takes the direct sum there
+    # each point's value, (re, im) per row, and a column of ones for the denominators
+    values = np.column_stack((table @ coeffs.view(float), np.ones(degree + 1)))
+    x = (u - mid) / half
+    row, col = _points_hit(x, nodes)  # a plane on a point takes the direct sum there
+    gaps = np.subtract.outer(x, nodes)
     gaps[row, col] = 1.0
-    bary = np.where(np.arange(degree + 1) % 2, -1.0, 1.0)
+    bary = np.where(orders % 2, -1.0, 1.0)
     bary[[0, -1]] *= 0.5
-    terms = bary / gaps
-    terms /= terms.sum(axis=1, keepdims=True)
-    out = np.einsum("zj,j->z", terms, values)
-    out[row] = _direct_sum(weights, offset, slope, u[row])
-    return out
+    sums = np.divide(bary, gaps, out=gaps) @ values
+    out = (sums[:, :-1] / sums[:, -1:]).view(complex).T
+    out[:, row] = _direct_sum(weights, offset, slope, u[row])
+    return out if np.ndim(slope) == 2 else out[0]
 
 
 def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
-                u: Array, label: str) -> Array:
+                u: Array, labels: tuple[str, ...]) -> Array:
     """Trapezoid integral of amp e^{i(offset + slope u)} dk at each u; guarded at u's ends.
 
-    A window with more planes than the Chebyshev points its phase reach
-    needs is evaluated at those points from its Chebyshev series and
-    interpolated to every plane (see
-    ``_chebyshev_k_sum``, which states the error bound).  Any other window,
-    such as an envelope's few offsets, takes the direct Z x K quadrature.
+    ``offset`` and ``slope`` are (K,) for one integral, which gives (Z,), or
+    (B, K) for a stack of B, which gives (B, Z); each row is guarded in turn
+    under its entry of ``labels``.  A window with more planes than the
+    Chebyshev points its phase reach needs is evaluated at those points from
+    its Chebyshev series and interpolated to every plane, all rows in one
+    pass (see ``_chebyshev_k_sum``, which states the error bound).  Any
+    other window, such as an envelope's few offsets, takes the direct Z x K
+    quadrature, row by row.
     """
-    _guard(offset + slope * np.array([[u.min()], [u.max()]]), label)
+    if not u.size:
+        return np.zeros(np.shape(slope)[:-1] + (0,), dtype=complex)
+    ends = np.array([[u.min()], [u.max()]])
+    for row_offset, row_slope, label in zip(np.atleast_2d(offset), np.atleast_2d(slope), labels):
+        _guard(row_offset + row_slope * ends, label)
     half = np.diff(state.k) / 2.0
     weights = amp * (np.r_[half, 0.0] + np.r_[0.0, half])
     interpolated = _chebyshev_k_sum(weights, offset, slope, u)
@@ -478,20 +522,21 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
 
 
 def _branch_fields(state: PacketState, z, t: float) -> tuple[Array, Array]:
-    """Snapshot complex fields (up, down) at positions z; z scalar or 1-d."""
+    """Snapshot complex fields (up, down) at positions z; z scalar or 1-d.
+
+    The two branches are one (2, K) stack of k integrals, so they share the
+    window's Chebyshev pass.
+    """
     # theta + p z + (k - k0)(z - v t) in the small packet-frame u = z - v t;
     # expanding (p + k - k0) z instead would cancel terms of up to ~5e7 rad.
     v_t = state.spec.velocity * t
     u = _z_values(z, t) - v_t
     dk = state.k - state.spec.k0
-    fields = []
-    for wgt, theta, p, om, label in (
-        (state.weight_up, state.theta_up, state.p_up, state.omega_up, "up"),
-        (state.weight_down, state.theta_down, state.p_down, state.omega_down, "down"),
-    ):
-        amp = _k_integral(state, state.g, theta + p * v_t, p + dk, u, label)
-        fields.append(wgt * np.exp(-1j * om * t) * amp)
-    return fields[0], fields[1]
+    offset = np.stack([state.theta_up + state.p_up * v_t, state.theta_down + state.p_down * v_t])
+    slope = np.stack([state.p_up + dk, state.p_down + dk])
+    up, down = _k_integral(state, state.g, offset, slope, u, ("up", "down"))
+    return (state.weight_up * np.exp(-1j * state.omega_up * t) * up,
+            state.weight_down * np.exp(-1j * state.omega_down * t) * down)
 
 
 def _shaped_like(z, out: Array):
@@ -500,7 +545,7 @@ def _shaped_like(z, out: Array):
 
 
 def branch_intensities(state: PacketState, z, t: float):
-    """Snapshot |psi_up|^2 and |psi_down|^2 at (z, t); z scalar or array."""
+    """Snapshot |psi_up|^2 and |psi_down|^2 at (z, t); z a scalar or 1-d array."""
     up, down = _branch_fields(state, z, t)
     return _shaped_like(z, np.abs(up) ** 2), _shaped_like(z, np.abs(down) ** 2)
 
@@ -509,9 +554,9 @@ def position_intensity(state: PacketState, z, t: float,
                        spin_projection: float | None = None):
     """Snapshot intensity |<z|P|psi(t)>|^2 for a packet launched from z=0 at t=0.
 
-    With ``spin_projection`` set, the spinor is projected onto
-    (|up> + exp(i theta)|down>)/sqrt(2) first (the analyzer); otherwise the
-    two branch intensities are summed.
+    ``z`` is a scalar or 1-d array.  With ``spin_projection`` set, the
+    spinor is projected onto (|up> + exp(i theta)|down>)/sqrt(2) first (the
+    analyzer); otherwise the two branch intensities are summed.
     """
     if spin_projection is not None and not math.isfinite(spin_projection):
         raise ValueError("spin projection angle must be finite")
@@ -530,18 +575,18 @@ def _cross_term(state: PacketState, z: Array) -> Array:
     two end planes of the window, where its k step is largest.
     """
     return _k_integral(state, state.g**2, state.theta_down - state.theta_up,
-                       state.p_down - state.p_up, z, "relative")
+                       state.p_down - state.p_up, z, ("relative",))
 
 
 def detected_intensity(state: PacketState, z, t: float,
                        spin_projection: float | None = None):
     """Stationary-beam intensity at plane z for neutrons detected at time t.
 
-    The beam ensemble is k-diagonal, so the analyzer's interference term
-    averages the branch-relative phase over the |g|^2 distribution (see the
-    module docstring); the result carries the full beat modulation in t.
-    Without a ``spin_projection`` the beam shows no modulation at all and
-    the branch populations are simply summed.
+    ``z`` is a scalar or 1-d array.  The beam ensemble is k-diagonal, so the
+    analyzer's interference term averages the branch-relative phase over the
+    |g|^2 distribution (see the module docstring); the result carries the
+    full beat modulation in t.  Without a ``spin_projection`` the beam shows
+    no modulation at all and the branch populations are simply summed.
     """
     z_arr = _z_values(z, t)
     populations = state.norm_squared()

@@ -507,6 +507,54 @@ def test_length_one_z_array_returns_an_array():
         assert array[0] == scalar
 
 
+def test_empty_window_gives_empty_arrays():
+    state = pipeline_packet_state(CFG, SPEC)
+    t = (CFG.l1 + focusing_distance(CFG)) / CFG.velocity
+    outputs = [
+        *branch_intensities(state, [], t),
+        position_intensity(state, [], t),
+        position_intensity(state, np.array([]), t, spin_projection=0.0),
+        detected_intensity(state, [], t, spin_projection=0.0),
+        detected_intensity(state, [], t),
+    ]
+    for out in outputs:
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_multi_dimensional_z_is_rejected_before_any_quadrature(monkeypatch):
+    state = pipeline_packet_state(CFG, SPEC)
+    focus = CFG.l1 + focusing_distance(CFG)
+    t = focus / CFG.velocity
+
+    def no_quadrature(*args):
+        raise AssertionError("a k integral was computed")
+
+    monkeypatch.setattr(wavepacket, "_k_integral", no_quadrature)
+    calls = [
+        lambda zz: branch_intensities(state, zz, t),
+        lambda zz: position_intensity(state, zz, t),
+        lambda zz: position_intensity(state, zz, t, spin_projection=0.0),
+        lambda zz: detected_intensity(state, zz, t, spin_projection=0.0),
+        lambda zz: detected_intensity(state, zz, t),
+    ]
+    for z in (np.full((2, 3), focus), np.full((1, 1), focus), np.empty((0, 2))):
+        for call in calls:
+            with pytest.raises(ValueError, match="z must be a scalar or a 1-d array"):
+                call(z)
+
+
+def test_resolution_guard_names_the_first_branch_that_fails():
+    # A theta step of 1 rad per k sample exceeds the pi/4 limit at any plane.
+    state = pipeline_packet_state(CFG, SPEC)
+    t = (CFG.l1 + focusing_distance(CFG)) / CFG.velocity
+    z = transport_window(state, t)
+    rough = np.arange(state.k.size, dtype=float)
+    with pytest.raises(ResolutionError, match="on the down branch"):
+        branch_intensities(replace(state, theta_down=rough), z, t)
+    with pytest.raises(ResolutionError, match="on the up branch"):
+        branch_intensities(replace(state, theta_up=rough, theta_down=rough), z, t)
+
+
 # ---------------------------------------------------------------------------
 # the two quadrature paths: interpolated from Chebyshev points over a window
 # with more planes than the points it needs, direct otherwise
@@ -514,13 +562,13 @@ def test_length_one_z_array_returns_an_array():
 
 @pytest.fixture
 def quadrature_paths(monkeypatch):
-    """The path each k-integral takes, in call order: "factored" or "direct"."""
+    """The path each k-integral takes, in call order: "interpolated" or "direct"."""
     taken = []
-    factored = wavepacket._chebyshev_k_sum
+    interpolated = wavepacket._chebyshev_k_sum
 
     def spy(*args):
-        out = factored(*args)
-        taken.append("direct" if out is None else "factored")
+        out = interpolated(*args)
+        taken.append("direct" if out is None else "interpolated")
         return out
 
     monkeypatch.setattr(wavepacket, "_chebyshev_k_sum", spy)
@@ -537,16 +585,16 @@ def transport_window(state, t, planes=1201):
     return np.linspace(center - 2e-7, center + 2e-7, planes)
 
 
-def test_factored_quadrature_matches_direct_on_transport_grids(quadrature_paths, monkeypatch):
+def test_interpolated_quadrature_matches_direct_on_transport_grids(quadrature_paths, monkeypatch):
     stages, times = criterion_6_setup()
     windows = [(state, t, transport_window(state, t)) for state in stages for t in times]
-    factored = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
-    assert quadrature_paths == ["factored"] * 2 * len(windows)
+    interpolated = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
+    assert quadrature_paths == ["interpolated"] * len(windows)
     # The direct sum at one plane does not depend on the others, so every 8th
     # plane is checked: the 151 samples run from end plane to end plane, so
     # they test the Chebyshev interpolant across the whole window.
     direct_only(monkeypatch)
-    for (state, t, z), fields in zip(windows, factored):
+    for (state, t, z), fields in zip(windows, interpolated):
         for field, want in zip(fields, wavepacket._branch_fields(state, z[::8], t)):
             assert np.max(np.abs(field[::8] - want)) <= 1e-13 * np.max(np.abs(field))
 
@@ -570,7 +618,7 @@ def test_nudged_non_uniform_and_unsorted_windows_are_interpolated(quadrature_pat
         transport_window(state, t, 63),
     ]
     interpolated = [wavepacket._branch_fields(state, z, t) for z in windows]
-    assert quadrature_paths == ["factored"] * 2 * len(windows)
+    assert quadrature_paths == ["interpolated"] * len(windows)
     direct_only(monkeypatch)
     for z, fields in zip(windows, interpolated):
         for field, want in zip(fields, wavepacket._branch_fields(state, z, t)):
@@ -620,7 +668,7 @@ def test_detected_intensity_on_a_uniform_window_matches_the_direct_path(quadratu
     t = focus / CFG.velocity
     z = np.linspace(focus - 0.07, focus + 0.07, 201)
     got = detected_intensity(state, z, t, spin_projection=0.3)
-    assert quadrature_paths == ["factored"]
+    assert quadrature_paths == ["interpolated"]
     want = [detected_intensity(state, plane, t, spin_projection=0.3) for plane in z]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -661,7 +709,7 @@ def test_wide_window_matches_the_direct_path(quadrature_paths, monkeypatch):
     stages, times = criterion_6_setup()
     windows = [(stages[-1], t, centred_window(stages[-1], t, 8e-7, 401)) for t in times]
     interpolated = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
-    assert quadrature_paths == ["factored"] * 2 * len(windows)
+    assert quadrature_paths == ["interpolated"] * len(windows)
     direct_only(monkeypatch)
     for (state, t, z), fields in zip(windows, interpolated):
         for field, want in zip(fields, wavepacket._branch_fields(state, z[::4], t)):
@@ -674,11 +722,11 @@ def test_window_needing_a_point_per_plane_takes_the_direct_path(quadrature_paths
     stages, times = criterion_6_setup()
     state, t = stages[-1], times[-1]
     branch_intensities(state, centred_window(state, t, 1e-6, 401), t)
-    assert quadrature_paths == ["factored", "factored"]
+    assert quadrature_paths == ["interpolated"]
     quadrature_paths.clear()
     z = centred_window(state, t, 1e-6, 64)
     got = branch_intensities(state, z, t)
-    assert quadrature_paths == ["direct", "direct"]
+    assert quadrature_paths == ["direct"]
     direct_only(monkeypatch)
     for values, want in zip(got, branch_intensities(state, z, t)):
         assert np.array_equal(values, want)
@@ -689,7 +737,7 @@ def test_window_of_identical_planes_takes_the_direct_path(quadrature_paths, monk
     state, t = stages[-1], times[-1]
     z = np.full(64, np.mean(stationary_peak_positions(state, t)))
     got = branch_intensities(state, z, t)
-    assert quadrature_paths == ["direct", "direct"]
+    assert quadrature_paths == ["direct"]
     direct_only(monkeypatch)
     for values, want in zip(got, branch_intensities(state, z, t)):
         assert np.all(np.isfinite(values)) and np.array_equal(values, want)
@@ -719,7 +767,7 @@ def test_reversed_window_gives_the_reversed_result(quadrature_paths):
     z = transport_window(state, t)
     forward = wavepacket._branch_fields(state, z, t)
     backward = wavepacket._branch_fields(state, z[::-1], t)
-    assert quadrature_paths == ["factored"] * 4
+    assert quadrature_paths == ["interpolated"] * 2
     for field, reversed_field in zip(forward, backward):
         assert np.array_equal(reversed_field, field[::-1])
 
@@ -793,6 +841,46 @@ def test_window_with_no_plane_on_a_point_builds_no_phasor_row(phasor_rows):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
 
 
+def test_stacked_rows_of_different_reach_match_their_direct_sums(phasor_rows):
+    # The degree comes from the larger reach (12.5, even), so both rows take
+    # the direct sum at both end planes and the centre plane.
+    u = np.arange(-200, 201) * 2.0**-30
+    rows = [random_sum(31, 12.5, u[-1]), random_sum(37, 3.0, u[-1])]
+    weights, offset, slope = (np.stack(parts) for parts in zip(*rows))
+    got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
+    assert got.shape == (2, u.size)
+    assert phasor_rows == [3, 3]
+    for values, (row_weights, row_offset, row_slope) in zip(got, rows):
+        for plane in (0, 200, 400):
+            on_point = wavepacket._direct_sum(row_weights, row_offset, row_slope,
+                                              u[plane:plane + 1])
+            assert values[plane] == on_point[0]
+        want = direct_sum(row_weights, row_offset, row_slope, u)
+        assert np.max(np.abs(values - want)) <= 1e-13 * np.sum(np.abs(row_weights))
+
+
+@pytest.mark.parametrize("u, reach", [
+    (np.arange(-200, 201) * 2.0**-30, 12.0),  # odd degree: the end planes on +-1
+    (np.arange(-200, 201) * 2.0**-30, 12.5),  # even degree: the centre plane on 0 too
+    (np.linspace(0.1, 0.2, 300), 12.5),  # no plane on a point
+])
+def test_point_search_finds_the_planes_the_gap_table_marks(monkeypatch, u, reach):
+    searches = []
+    points_hit = wavepacket._points_hit
+
+    def spy(x, nodes):
+        found = points_hit(x, nodes)
+        searches.append((x, nodes, found))
+        return found
+
+    monkeypatch.setattr(wavepacket, "_points_hit", spy)
+    half = 0.5 * (u.max() - u.min())
+    assert wavepacket._chebyshev_k_sum(*random_sum(41, reach, half), u) is not None
+    [(x, nodes, (plane, point))] = searches
+    want_plane, want_point = np.nonzero(np.subtract.outer(x, nodes) == 0.0)
+    assert np.array_equal(plane, want_plane) and np.array_equal(point, want_point)
+
+
 @pytest.mark.parametrize("planes, hits", [(1201, 3), (1200, 2)])
 def test_transport_window_builds_phasor_rows_only_at_planes_on_points(phasor_rows, planes, hits):
     # Packet-frame planes are differences of z values near 1 m, so their ends
@@ -855,19 +943,30 @@ def test_bessel_orders_match_the_bessel_integral(reach):
     extra_planes=st.integers(2, 200),
     low=st.floats(-1.0, -0.05),
     high=st.floats(0.05, 1.0),
+    rows=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chebyshev_k_sum_matches_the_direct_sum(reach, centre, extra_planes, low, high, seed):
+def test_chebyshev_k_sum_matches_the_direct_sum(reach, centre, extra_planes, low, high, rows,
+                                                seed):
     # Slopes run from low to high through 0, as a packet's do across its k
     # grid, scaled so that the larger end reaches ``reach`` over the window.
+    # ``rows`` None is one (K,) sum; otherwise a (rows, K) stack, whose later
+    # rows reach a drawn 5-100% of ``reach``.
     half = 2e-7
     planes = chebyshev_degree(reach) + 1 + extra_planes
     u = (centre + np.linspace(-1.0, 1.0, planes)) * half
     rng = np.random.default_rng(seed)
-    slope = np.linspace(low, high, 256) * reach / (max(-low, high) * half)
-    weights = rng.normal(size=256) + 1j * rng.normal(size=256)
-    offset = rng.uniform(-math.pi, math.pi, 256)
+    stack = rows or 1
+    scale = np.r_[1.0, rng.uniform(0.05, 1.0, stack - 1)][:, None]
+    slope = scale * np.linspace(low, high, 256) * reach / (max(-low, high) * half)
+    weights = rng.normal(size=(stack, 256)) + 1j * rng.normal(size=(stack, 256))
+    offset = rng.uniform(-math.pi, math.pi, (stack, 256))
+    if rows is None:
+        weights, offset, slope = weights[0], offset[0], slope[0]
     got = wavepacket._chebyshev_k_sum(weights, offset, slope, u)
-    assert got is not None
-    want = direct_sum(weights, offset, slope, u)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(weights))
+    assert got is not None and got.shape == np.shape(slope)[:-1] + u.shape
+    for values, row_weights, row_offset, row_slope in zip(
+            np.atleast_2d(got), np.atleast_2d(weights), np.atleast_2d(offset),
+            np.atleast_2d(slope)):
+        want = direct_sum(row_weights, row_offset, row_slope, u)
+        assert np.max(np.abs(values - want)) <= 1e-13 * np.sum(np.abs(row_weights))
