@@ -20,18 +20,22 @@ recorded points nearest the requested analyzer settings
 reduction, so none of them reuses another's fitted numbers.
 
 All fits share one closed-form engine, which fits a stack of rows in one
-call.  The model is linear in ``(A, B cos phi, -B sin phi)``, so one weighted
-solve of each row's ``[1, cos theta, sin theta]`` normal equations gives the
-exact optimum; one matrix product gives every row's normal matrix and
-moments together.  ``analyze_records`` validates the records once and hands
-that scan to all three routes.  ``B = hypot(c, s)`` is non-negative with the
-sign carried by the phase; the (A, B, phi) covariance is the linear-parameter
-one mapped by the delta method (Gauss-Newton for ``B > 0``), so the phase
-sigma grows without bound as ``B`` tends to zero.  A row fails when its normal matrix is
-singular to working precision (too few distinct phases), its amplitude is
-exactly zero (no phase) or its mean level is not positive.  One-row fits and
-the per-point route raise the first failure as ``FitError``; the bootstrap
-counts failed resamples and drops them.
+call.  The model is linear in ``(A, c, s) = (A, B cos phi, -B sin phi)``, so
+one weighted solve of each row's ``[1, cos theta, sin theta]`` normal
+equations gives the exact optimum; one matrix product gives every row's
+normal matrix and moments together.  The engine has two stages: the solve
+(``_solve_cosines``), then the (A, B, phi) covariance and chi-square
+(``_fit_cosines``).  ``analyze_records`` validates the records once and hands
+that scan to all three routes, which take both stages.  ``B = hypot(c, s)``
+is non-negative with the sign carried by the phase; the (A, B, phi)
+covariance is the linear-parameter one mapped by the delta method
+(Gauss-Newton for ``B > 0``), so the phase sigma grows without bound as
+``B`` tends to zero.  A row fails when its normal matrix is singular to
+working precision (too few distinct phases), its amplitude is exactly zero
+(no phase) or its mean level is not positive.  One-row fits and the
+per-point route raise the first failure as ``FitError``.  The bootstrap
+takes the solve stage only, since each resample's S is linear in ``c / A``
+and ``s / A``; it counts failed resamples and drops them.
 """
 
 from __future__ import annotations
@@ -187,8 +191,18 @@ class _CosineFits(NamedTuple):
         return FitResult(a, b, phi, self.covariance[0], chi2, self.dof)
 
 
-def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
-    """Fit y = A + B cos(theta + phi) to each (R, N) row of y, sigma; theta broadcasts.
+class _CosineSolve(NamedTuple):
+    """Stacked solves: rows' (A, c, s) with failed rows NaN, and the sums the fit stage reuses."""
+
+    basis: Array
+    w: Array
+    normal: Array
+    coef: Array
+    failures: dict[int, str]
+
+
+def _solve_cosines(theta: Array, y: Array, sigma: Array) -> _CosineSolve:
+    """Solve y = A + c cos theta + s sin theta for each (R, N) row of y, sigma; theta broadcasts.
 
     With w = sigma**-2 and the basis b = [1, cos theta, sin theta], one product
     of the stacked rows [w, w y] against the (..., N, 9) outer products b b^T
@@ -214,11 +228,23 @@ def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
               else f"fitted mean level must be positive, got {float(a[row])!r}")
         for row in np.flatnonzero(failed).tolist()
     }
-    coef[failed] = b[failed] = np.nan
+    coef[failed] = np.nan
+    return _CosineSolve(basis, w, normal, coef, failures)
+
+
+def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
+    """Fit y = A + B cos(theta + phi) to each (R, N) row of y, sigma; theta broadcasts.
+
+    ``_solve_cosines`` gives the linear coefficients (A, c, s); this stage maps
+    them to (A, B, phi) with c = B cos(phi), s = -B sin(phi), and adds the
+    covariance and chi-square.
+    """
+    basis, w, normal, coef, failures = _solve_cosines(theta, y, sigma)
+    a, c, s = coef.T
+    b = np.hypot(c, s)
     resid = (basis @ coef[..., None])[..., 0] - y
     phase = np.arctan2(-s, c)
     phase[phase == -math.pi] = math.pi  # wrap to (-pi, pi]
-    # (A, c, s) -> (A, B, phi) with c = B cos(phi), s = -B sin(phi)
     grad = np.zeros(normal.shape)
     grad[:, 0, 0] = 1.0
     grad[:, 1:, 1:] = np.moveaxis(np.array([[c / b, s / b], [s / b**2, -c / b**2]]), -1, 0)
@@ -593,14 +619,17 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     theta, observed, _ = _Scan(cfg, records, scan_kind).channel_points(channel)
     means = np.broadcast_to(observed, (resamples, observed.size))
     counts = _poisson_rows(_RESAMPLE_KEY | seed, means).astype(float)
-    fits = _fit_cosines(theta, counts, _poisson_sigma(counts))
-    failures = len(fits.failures)
+    solved = _solve_cosines(theta, counts, _poisson_sigma(counts))
+    failures = len(solved.failures)
     if failures > 0.05 * resamples:
         raise DiagnosticError(
             f"{failures}/{resamples} bootstrap refits failed; counts data too degenerate"
         )
-    e, _, _ = _expectation_gradients(fits, settings)
-    s_values = np.delete(np.sum(_SIGN_MATRIX * e, axis=(-2, -1)), list(fits.failures))
+    # S = sum sign_ij B cos(x_ij + phi) / A over x_ij = alpha_i + gamma_j, and
+    # B cos(x + phi) = c cos x + s sin x: no (A, B, phi) or covariance needed.
+    a, c, s = np.delete(solved.coef, list(solved.failures), axis=0).T
+    x = np.add.outer((settings.alpha1, settings.alpha2), (settings.gamma1, settings.gamma2))
+    s_values = (c * np.sum(_SIGN_MATRIX * np.cos(x)) + s * np.sum(_SIGN_MATRIX * np.sin(x))) / a
     return BootstrapResult(
         sigma_s=float(np.std(s_values, ddof=1)),
         resamples=resamples,

@@ -342,29 +342,38 @@ def read_counts_csv(path) -> CountsTable:
     except (TypeError, KeyError, OverflowError):
         plan_coords = {}
 
-    # Rows of one point, in file order, under the first (current, coord) seen.
+    # Rows of one point, in file order, under the first (current, coord) seen.  A point's
+    # (current, coord) text is parsed and checked on its first line only; its later lines
+    # find their entry list by that text.
     grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    by_text: dict[tuple[str, str], list[tuple[int, int]]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
             if len(row) != 4:
                 raise ValueError(f"expected 4 columns, got {len(row)}")
-            current, coord, channel, count = row
-            current = float(current)
-            coord = plan_coords[coord] if coord in plan_coords else float(coord) / scale
+            current_text, coord_text, channel, count = row
+            entries = by_text.get((current_text, coord_text))
+            if entries is None:
+                current = float(current_text)
+                coord = (plan_coords[coord_text] if coord_text in plan_coords
+                         else float(coord_text) / scale)
             channel, count = int(channel), int(count)
             if count > _MAX_COUNT:
                 raise ValueError(_count_over_bound(count))
             if count < 0:
                 raise ValueError(f"counts must be non-negative, got {bounded_repr(count)}")
-            if not math.isfinite(current):
-                raise ValueError(f"{header[0]} must be finite, got {current!r}")
-            if not math.isfinite(coord):
-                raise ValueError(f"{header[1]} must be finite, got {coord!r}")
+            if entries is None:
+                if not math.isfinite(current):
+                    raise ValueError(f"{header[0]} must be finite, got {current!r}")
+                if not math.isfinite(coord):
+                    raise ValueError(f"{header[1]} must be finite, got {coord!r}")
+                entries = by_text[current_text, coord_text] = grouped.setdefault(
+                    (current, coord), [])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        grouped.setdefault((current, coord), []).append((channel, count))
+        entries.append((channel, count))
     if not grouped:
         raise ConfigError(f"{path}: no data rows")
 

@@ -296,9 +296,16 @@ def pipeline_packet_state(cfg: BeamlineConfig, spec: WavePacketSpec,
     return state
 
 
-def _guard(phase: Array, label: str) -> None:
-    step = np.max(np.abs(np.diff(phase, axis=-1)))
-    if step > _MAX_PHASE_STEP:
+def _guard(offset: Array, slope: Array, planes: Array, label: str) -> None:
+    """Check that the phase ``offset + slope * planes`` is finite and resolved by the k grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = offset + slope * planes
+        step = np.max(np.abs(np.diff(phase, axis=-1)))
+    if not np.all(np.isfinite(phase)):
+        raise ResolutionError(
+            f"integrand phase overflows on the {label} branch; move the evaluation point"
+        )
+    if not step <= _MAX_PHASE_STEP:
         raise ResolutionError(
             f"integrand phase advances {step:.3g} rad per grid step on the "
             f"{label} branch (limit {_MAX_PHASE_STEP:.3g}); refine the k grid "
@@ -512,7 +519,7 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
         return np.zeros(np.shape(slope)[:-1] + (0,), dtype=complex)
     ends = np.array([[u.min()], [u.max()]])
     for row_offset, row_slope, label in zip(np.atleast_2d(offset), np.atleast_2d(slope), labels):
-        _guard(row_offset + row_slope * ends, label)
+        _guard(row_offset, row_slope, ends, label)
     half = np.diff(state.k) / 2.0
     weights = amp * (np.r_[half, 0.0] + np.r_[0.0, half])
     interpolated = _chebyshev_k_sum(weights, offset, slope, u)
@@ -630,7 +637,13 @@ def contrast_envelope(cfg: BeamlineConfig, spec: WavePacketSpec,
     ``2 |w_up w_down| |cross| / P``.  All offsets share one quadrature and
     the same resolution guard as ``detected_intensity``.
     """
-    deltas = [float(delta) for delta in delta_list]
+    try:
+        deltas = [float(delta) for delta in delta_list]
+    except (TypeError, ValueError) as exc:
+        raise ValueError("offsets must be a sequence of numbers, "
+                         f"got {bounded_repr(delta_list)}") from exc
+    if not all(map(math.isfinite, deltas)):
+        raise ValueError(f"offsets must be finite, got {bounded_repr(delta_list)}")
     if not deltas:
         return []
     focus = cfg.l1 + focusing_distance(cfg, 0.0)

@@ -885,6 +885,46 @@ def test_bootstrap_counts_each_failed_refit():
     np.testing.assert_allclose(boot.s_values, expected, rtol=1e-12, atol=1e-12)
 
 
+def full_path_s_values(cfg, recs, settings, resamples, seed):
+    """Failures and surviving S of the resamples, each refitted to (A, B, phi) with covariance."""
+    theta, observed, _ = (np.array(column) for column in zip(*single_channel_points(cfg, recs)))
+    counts = np.array([_resample_rng(seed, index).poisson(observed)
+                       for index in range(resamples)], dtype=float)
+    fits = _fit_cosines(theta, counts, np.sqrt(np.maximum(counts, 1.0)))
+    e, _, _ = analysis._expectation_gradients(fits, settings)
+    s = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1]
+    return len(fits.failures), np.delete(s, list(fits.failures))
+
+
+def degenerate_table():
+    """Channel-0 counts of 1 at four points and 0 elsewhere: some resamples are all zero."""
+    return [
+        CountsRecord(current=cur, coord=off, counts=(int(i in (0, 30, 60, 90)),) + (5,) * 15)
+        for i, (cur, off) in enumerate((c, o) for c in PLAN.currents for o in PLAN.offsets)
+    ]
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "off-optimal", "degenerate"])
+def test_bootstrap_s_values_match_the_full_fit_path(name):
+    # The bootstrap solves only for (A, c, s); S from the full (A, B, phi) fit and its
+    # E matrix must agree, resample by resample, failures dropped in resample order.
+    # At optimal settings sum sign_ij sin(alpha_i + gamma_j) = 0, so S does not depend
+    # on s; at the off-optimal settings it does.
+    if name == "degenerate":
+        cfg, recs, settings = CFG, degenerate_table(), SETTINGS
+    elif name == "off-optimal":
+        cfg, recs = CFG, simulate_scan(CFG, replace(PLAN, rng_seed=42))
+        settings = WitnessSettings(alpha1=0.3, alpha2=1.5, gamma1=-0.5, gamma2=0.9)
+    else:
+        rc = load_preset(name)
+        cfg, recs, settings = rc.beamline, simulate_scan(rc.beamline, rc.plan), rc.settings
+    boot = bootstrap_uncertainty(cfg, recs, settings, resamples=200, seed=0)
+    failures, expected = full_path_s_values(cfg, recs, settings, 200, 0)
+    assert boot.failures == failures
+    assert failures > 0 if name == "degenerate" else failures == 0
+    np.testing.assert_allclose(boot.s_values, expected, rtol=1e-12, atol=0)
+
+
 def test_bootstrap_flags_degenerate_counts():
     zeros = [
         CountsRecord(current=cur, coord=off, counts=(0,) * 16)

@@ -5,7 +5,10 @@ never in another exception.  The runs are derandomized and bounded, so the
 same examples run every time.
 """
 
+import csv
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +27,17 @@ from miezesim import (
     read_counts_csv,
     simulate_scan,
     write_counts_csv,
+)
+from miezesim.errors import bounded_repr
+from miezesim.synth import (
+    _COORD_COLUMNS,
+    _COORD_SCALE,
+    _MAX_COUNT,
+    CountsRecord,
+    _count_over_bound,
+    _fmt,
+    _read_json,
+    _sidecar_path,
 )
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
@@ -203,6 +217,122 @@ def test_read_counts_csv_ends_in_a_table_or_a_config_error(counts_files, which, 
         return
     assert isinstance(table, CountsTable)
     assert len({len(record.counts) for record in table.records}) == 1
+
+
+def reference_read_counts_csv(path) -> CountsTable:
+    """``read_counts_csv`` as a line-by-line reader: every line parses and checks its own
+    current and coordinate text, then joins the point of that (current, coord)."""
+    path = Path(path)
+    with path.open(newline="", errors="replace") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty counts file")
+    header = rows[0]
+    if len(header) != 4 or header[0] != "current_A" or header[2:] != ["channel", "counts"]:
+        raise ConfigError(f"{path}: unrecognized counts header {header!r}")
+    kinds = {v: k for k, v in _COORD_COLUMNS.items()}
+    if header[1] not in kinds:
+        raise ConfigError(f"{path}: unrecognized coordinate column {header[1]!r}")
+    kind = kinds[header[1]]
+    scale = _COORD_SCALE[kind]
+    sidecar = _sidecar_path(path)
+    metadata = _read_json(sidecar) if sidecar.exists() else None
+    try:
+        plan_coords = {_fmt(v * scale): float(v) for v in metadata["plan"][f"{kind}s"]}
+    except (TypeError, KeyError, OverflowError):
+        plan_coords = {}
+
+    grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 columns, got {len(row)}")
+            current, coord, channel, count = row
+            current = float(current)
+            coord = plan_coords[coord] if coord in plan_coords else float(coord) / scale
+            channel, count = int(channel), int(count)
+            if count > _MAX_COUNT:
+                raise ValueError(_count_over_bound(count))
+            if count < 0:
+                raise ValueError(f"counts must be non-negative, got {bounded_repr(count)}")
+            if not math.isfinite(current):
+                raise ValueError(f"{header[0]} must be finite, got {current!r}")
+            if not math.isfinite(coord):
+                raise ValueError(f"{header[1]} must be finite, got {coord!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        grouped.setdefault((current, coord), []).append((channel, count))
+    if not grouped:
+        raise ConfigError(f"{path}: no data rows")
+
+    records = []
+    for (current, coord), entries in grouped.items():
+        point_channels, point_counts = zip(*entries)
+        if point_channels != tuple(range(len(entries))):
+            raise ConfigError(
+                f"{path}: point ({current}, {coord}) has non-consecutive channels"
+            )
+        records.append(CountsRecord(current=current, coord=coord, counts=point_counts))
+    widths = {len(r.counts) for r in records}
+    if len(widths) != 1:
+        raise ConfigError(f"{path}: inconsistent channel counts across points: {sorted(widths)}")
+    return CountsTable(records=tuple(records), scan_kind=kind, metadata=metadata)
+
+
+def read_outcome(reader, path) -> str:
+    """The table a reader returns, or its ConfigError message; repr keeps the sign of 0."""
+    try:
+        return repr(reader(path))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@FUZZ
+@given(which=st.integers(0, 1), edits=st.integers(0, 3), data=st.data())
+def test_read_counts_csv_matches_a_line_by_line_reader(counts_files, which, edits, data):
+    text, sidecar = counts_files[which]
+    for _ in range(edits):
+        text = mutate_bytes(text, data)
+    sidecar = sidecar_variant(sidecar, data)
+    path = counts_files.fuzz_dir / "counts.csv"
+    path.write_bytes(text)
+    if sidecar is None:
+        path.with_suffix(".meta.json").unlink(missing_ok=True)
+    else:
+        path.with_suffix(".meta.json").write_bytes(sidecar)
+    assert read_outcome(read_counts_csv, path) == read_outcome(reference_read_counts_csv, path)
+
+
+@pytest.mark.parametrize("rows, points", [
+    # -0.94 and -0.940 parse to one current: the point's later rows join it.
+    (["-0.94,0,0,5", "-0.9,0,0,1", "-0.940,0,1,6", "-0.9,0,1,2", "-0.940,0,2,7",
+      "-0.9,0,2,3", "-0.94,0,3,8", "-0.9,0,3,4"], 2),
+    # A re-spelled current with a re-spelled, non-finite or unparsable coordinate.
+    (["-0.94,0,0,5", "-0.940,0.0,1,6", "-0.94,-0,2,7", "-0.940,0e0,3,8"], 1),
+    (["-0.94,0,0,5", "-0.940,inf,1,6"], 0),
+    (["-0.94,0,0,5", "-0.940,zz,1,6"], 0),
+    (["-0.94,0,0,5", "-0.94,0,1,x", "-0.940,0,1,6"], 0),
+    # A point's later rows skip the coordinate parse, not the count checks.
+    (["-0.94,0,0,5", f"-0.94,0,1,{2**53 + 1}"], 0),
+    (["-0.94,0,0,5", "-0.94,0,1,-5"], 0),
+    (["-0.94,0,0,5", "-0.94,0,1"], 0),
+], ids=["split", "coordinate-spellings", "non-finite", "unparsable", "bad-count",
+        "count-bound", "negative-count", "short-row"])
+def test_read_counts_csv_merges_a_re_spelled_current_as_the_line_by_line_reader(
+        tmp_path, rows, points):
+    path = tmp_path / "counts.csv"
+    path.write_text("current_A,delta_mm,channel,counts\n" + "\n".join(rows) + "\n")
+    got = read_outcome(read_counts_csv, path)
+    assert got == read_outcome(reference_read_counts_csv, path)
+    if points:
+        assert len(read_counts_csv(path).records) == points
+    else:
+        assert got.startswith("ConfigError:")
 
 
 def test_csv_field_over_the_csv_module_limit_is_a_config_error(tmp_path):

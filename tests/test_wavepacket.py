@@ -433,6 +433,31 @@ def test_resolution_guard_checks_the_window_ends():
         detected_intensity(state, z, 0.0, spin_projection=0.0)
 
 
+def test_resolution_guard_rejects_a_window_whose_phase_overflows():
+    # At z = 1e308 the end-plane phases overflow to inf and their k steps are NaN,
+    # which a plain "step > limit" test would let through.
+    rc = load_preset("reseda")
+    state = pipeline_packet_state(rc.beamline, rc.packet)
+    with pytest.raises(ResolutionError, match="phase overflows on the relative branch"):
+        detected_intensity(state, 1e308, 0.0, spin_projection=0.0)
+    with pytest.raises(ResolutionError, match="phase overflows on the up branch"):
+        branch_intensities(state, [1e308, 5e307], 0.0)
+    with pytest.raises(ResolutionError, match="phase overflows on the relative branch"):
+        contrast_envelope(rc.beamline, rc.packet, [1e308])
+
+
+@pytest.mark.parametrize("offsets, message", [
+    ([math.nan], "offsets must be finite, got \\[nan\\]"),
+    ([0.1, -math.inf], "offsets must be finite"),
+    ([[0.1, 0.2]], "offsets must be a sequence of numbers, got \\[\\[0.1, 0.2\\]\\]"),
+    (["0.1x"], "offsets must be a sequence of numbers"),
+    (0.1, "offsets must be a sequence of numbers, got 0.1"),
+], ids=["nan", "inf", "nested", "text", "scalar"])
+def test_envelope_rejects_offsets_that_are_not_finite_numbers(offsets, message):
+    with pytest.raises(ValueError, match=message):
+        contrast_envelope(RESEDA, RSPEC, offsets)
+
+
 def test_transport_grid_peak_memory_is_one_phasor_array():
     stages, times = criterion_6_setup()
     state, t = stages[-1], times[-1]
