@@ -13,7 +13,7 @@ The analysis chain mirrors how beamline data are reduced:
 Three independent witness routes are provided and reported side by side
 rather than collapsed: the primary global-fit route
 (``analyze_records`` / ``witness_from_fit``), a per-point route that fits
-every scan point's time series and pools the contrasts and phases
+every scan point's time series and pools the fits as one complex contrast
 (``channel_fits_witness``), and a direct count-ratio route that picks the
 recorded points nearest the requested analyzer settings
 (``counts_witness``).  Agreement between them is a cross-check of the whole
@@ -298,7 +298,8 @@ def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
     """Fit one scan point's time channels with ``A + B cos(w_m t + phi)``.
 
     Channels are the period-folded bins ``t_i = i T / n``; Poisson weighting
-    uses ``sigma^2 = max(counts, 1)``.
+    uses ``sigma^2 = max(counts, 1)``.  ``omega_m`` is only validated: the
+    channel phases ``w_m t_i = 2 pi i / n`` do not depend on it.
     """
     if not (omega_m > 0.0 and math.isfinite(omega_m)):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
@@ -421,11 +422,13 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
                          scan_kind: str = "offset") -> tuple[WitnessResult, FitResult]:
     """Witness from per-point time-series fits (the 'cosine fits' route).
 
-    Every record's channels are fitted separately; the contrasts are pooled
-    by inverse-variance weighting and the fitted phases, referenced to each
-    point's model phase, are pooled circularly into a global phase offset.
-    The pooled (C, phi) pair is then evaluated at the witness settings.
-    Returns the witness plus the pooled two-stage fit summary.
+    Every record's channels are fitted separately, and the fits are pooled
+    as one complex contrast ``Z = sum B_p exp(i (phi_p - base_p)) / sum A_p``
+    over points p, with ``base_p`` the point's channel-0 model phase.  No
+    weight depends on a fitted phase, so a point whose amplitude is rounding
+    noise adds nothing to Z.  The pooled fit (C = |Z|, phi0 = arg Z, their
+    delta-method covariance, mean level 1, summed chi-square and dof) is
+    evaluated at the witness settings; returns the witness and that fit.
     """
     return _channel_route(_Scan(cfg, records, scan_kind), settings)
 
@@ -433,23 +436,18 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
 def _channel_route(scan: _Scan, settings: WitnessSettings) -> tuple[WitnessResult, FitResult]:
     fits = _fit_channels(scan.counts)
     base = scan.channel_points(0)[0]
-    a, b = fits.mean_level, fits.amplitude
-    grad = np.stack([-b / a**2, 1.0 / a, np.zeros_like(a)], axis=-1)
-    c_weights = 1.0 / np.maximum(np.einsum("ri,rij,rj->r", grad, fits.covariance, grad), 1e-300)
-    c_hat = float(np.dot(b / a, c_weights) / c_weights.sum())
-    sigma_c = math.sqrt(1.0 / c_weights.sum())
-    offset = fits.phase - base
-    phi_weights = 1.0 / np.maximum(fits.covariance[:, 2, 2], 1e-300)
-    phi_hat = math.atan2(np.dot(np.sin(offset), phi_weights), np.dot(np.cos(offset), phi_weights))
-    sigma_phi = math.sqrt(1.0 / phi_weights.sum())
-    pooled = FitResult(
-        mean_level=1.0,
-        amplitude=max(c_hat, 0.0),
-        phase=phi_hat,
-        covariance=np.diag([0.0, sigma_c**2, sigma_phi**2]),
-        chi_square=float(fits.chi_square.sum()),
-        dof=fits.dof * len(base),
-    )
+    turn = np.exp(1j * (fits.phase - base))
+    total = fits.mean_level.sum()
+    z = complex(fits.amplitude @ turn) / total
+    # dZ/d(A_p, B_p, phi_p) = (-Z, e^{i(phi_p - base_p)}, i B_p e^{i(phi_p - base_p)}) / sum A
+    jac = np.stack([np.full_like(turn, -z), turn, 1j * fits.amplitude * turn], axis=-1) / total
+    jac = np.stack([jac.real, jac.imag], axis=1)
+    cov_z = np.sum(jac @ fits.covariance @ jac.transpose(0, 2, 1), axis=0)
+    c = abs(z)
+    polar = np.array([[z.real * c, z.imag * c], [-z.imag, z.real]]) / c**2  # d(|Z|, arg Z)
+    pooled = FitResult(1.0, c, math.atan2(z.imag, z.real),
+                       np.pad(polar @ cov_z @ polar.T, ((1, 0), (1, 0))),
+                       float(fits.chi_square.sum()), fits.dof * len(base))
     return witness_from_fit(pooled, settings), pooled
 
 

@@ -641,6 +641,43 @@ def test_channel_route_pools_all_points():
     assert result.sigma_s < single.sigma_s
 
 
+def test_channel_route_ignores_the_phase_of_a_zero_first_harmonic():
+    # (1, 2, 1, 2) and (2, 1, 2, 1) have no first harmonic: each fits B to rounding
+    # noise at an arbitrary phase, which S must not see.
+    rc = load_preset("cg4b-10khz")
+    plan = replace(rc.plan, counts_scale=40.0, rng_seed=7, time_channels_per_period=4)
+    recs = simulate_scan(rc.beamline, plan)
+    results = []
+    for counts in ((1, 2, 1, 2), (2, 1, 2, 1)):
+        recs[3] = replace(recs[3], counts=counts)
+        results.append(channel_fits_witness(rc.beamline, recs, rc.settings)[0])
+    assert abs(results[0].s - results[1].s) < 1e-12
+    # sigma_S moves only by the channel weights 1 / max(counts, 1): they give the
+    # point's (c, s) variances (1/2, 1) and (1, 1/2).  Its share of S is
+    # (c Re u + s Im u) / sum A, u = e^{-i base} sum_ij sign_ij e^{i (alpha_i + gamma_j)}.
+    total = analysis._fit_channels(np.array([rec.counts for rec in recs], float)).mean_level.sum()
+    base = single_channel_points(rc.beamline, recs)[3][0]
+    s = rc.settings
+    x = np.add.outer((s.alpha1, s.alpha2), (s.gamma1, s.gamma2)) - base
+    u = np.sum(np.array([[1.0, 1.0], [1.0, -1.0]]) * np.exp(1j * x))
+    assert math.isclose(results[0].sigma_s**2 - results[1].sigma_s**2,
+                        (u.imag**2 - u.real**2) / 2.0 / total**2, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_channel_route_is_calibrated_at_the_preset_counts(name):
+    rc = load_preset(name)
+    target = witness_from_contrast(rc.beamline.contrast)
+    z = []
+    for seed in range(3000, 3040):
+        recs = simulate_scan(rc.beamline, replace(rc.plan, rng_seed=seed))
+        result, _ = channel_fits_witness(rc.beamline, recs, rc.settings)
+        z.append((result.s - target) / result.sigma_s)
+    assert np.mean(z) <= 1.0
+    assert 0.7 <= np.std(z, ddof=1) <= 1.4
+    assert np.sum(np.abs(z) <= 3.0) >= 38
+
+
 def test_single_channel_points_validation():
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
     with pytest.raises(ConfigError, match="channel"):
@@ -943,19 +980,19 @@ def test_bootstrap_flags_degenerate_counts():
 GOLDEN_WITNESS = {
     "cg4b-10khz": (
         ((2.4012420068645266, 0.003724844121553619),
-         (2.4038197413236846, 0.0009483127509070688),
+         (2.4036230957757136, 0.0009484901278273625),
          (2.3762672244275014, 0.012183717707215125)),
         (0.003551471746383043, 0),
     ),
     "cg4b-100khz": (
         ((2.3138086328145997, 0.00371637088042068),
-         (2.3201443046246104, 0.0009450815580555391),
+         (2.319948970163674, 0.0009452026783748524),
          (2.282111585770661, 0.012473853080493574)),
         (0.003375272156035202, 0),
     ),
     "reseda": (
         ((2.827921003028439, 0.0005210287478701772),
-         (2.828623657394775, 0.0001394536597240492),
+         (2.8282488997923556, 0.0002686947926756649),
          (2.7895776524612836, 0.010843685718349384)),
         (0.000505661124686828, 0),
     ),
