@@ -32,7 +32,9 @@ covariance is the linear-parameter one mapped by the delta method
 (Gauss-Newton for ``B > 0``), so the phase sigma grows without bound as
 ``B`` tends to zero.  A row fails when its normal matrix is singular to
 working precision (too few distinct phases), its amplitude is exactly zero
-(no phase) or its mean level is not positive.  One-row fits and the
+(no phase) or its mean level is not positive.  Flat data fail this way only
+where the solve is exact; other flat rows fit an amplitude of rounding size
+at an arbitrary phase (see ``_solve_cosines``).  One-row fits and the
 per-point route raise the first failure as ``FitError``.  The bootstrap
 takes the solve stage only, since each resample's S is linear in ``c / A``
 and ``s / A``; it counts failed resamples and drops them.
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beamline import BeamlineConfig, _scan_phases
-from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError, bounded_repr
+from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError, integer_in_range
 from .quantum import (
     WitnessSettings,
     classify,
@@ -207,8 +209,11 @@ def _solve_cosines(theta: Array, y: Array, sigma: Array) -> _CosineSolve:
     With w = sigma**-2 and the basis b = [1, cos theta, sin theta], one product
     of the stacked rows [w, w y] against the (..., N, 9) outer products b b^T
     gives the normal matrix sum(w b b^T) and, in its first three columns, the
-    moments sum(w y b).  Both come from the same sums, so flat data reproduce
-    the normal matrix's constant column bit for bit and solve to B = 0 exactly.
+    moments sum(w y b).  Both come from the same sums, so a flat row with
+    w y = w (counts of 1) has the normal matrix's constant column as its
+    moments, bit for bit.  It solves to B = 0 exactly only where the divisions
+    by sum(w) are exact too, as on 8 or 16 channels; twelve 1-counts give
+    B ~ 1e-32, sixteen 5-counts B ~ 5e-16, each at an arbitrary phase.
     """
     basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
     products = (basis[..., :, None] * basis[..., None, :]).reshape(*basis.shape[:-1], 9)
@@ -386,7 +391,6 @@ class _Scan:
         widths = {len(rec.counts) for rec in records}
         if len(widths) != 1:
             raise ConfigError(f"inconsistent channel counts across points: {sorted(widths)}")
-        self.cfg, self.scan_kind = cfg, scan_kind
         self.currents, self.coords = np.array([(rec.current, rec.coord) for rec in records]).T
         (n,) = widths
         # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
@@ -404,10 +408,10 @@ class _Scan:
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""
         n = self.counts.shape[1]
-        if not (0 <= channel < n):
-            raise ConfigError(f"channel {channel} out of range for {n} time channels")
-        phase = self.alphas + self.phases[:, channel]
-        counts = self.counts[:, channel]
+        index = integer_in_range(channel, 0, n - 1,
+                                 f"channel {{}} out of range for {n} time channels")
+        phase = self.alphas + self.phases[:, index]
+        counts = self.counts[:, index]
         return phase, counts, _poisson_sigma(counts)
 
 
@@ -464,12 +468,12 @@ def counts_witness(cfg: BeamlineConfig, records, settings: WitnessSettings,
     For each (alpha_i, gamma_j) cell the four projector outcomes are read
     from the recorded counts whose realized phases are nearest to
     alpha_i + k pi (via the coil current) and gamma_j + l pi (via detector
-    offset and time channel), k, l in {0, 1}.  The (offset, channel) is
-    picked only among the offsets recorded at the picked current, so a
-    ragged table, one missing some (current, offset) points, reads only
-    recorded counts.  Ties prefer the smaller |current|, then the smaller
-    |offset| and channel index; of two values of equal magnitude, the
-    negative one.  Independent Poisson statistics give
+    offset and time channel), k, l in {0, 1}.  The (record, channel) cell is
+    picked only among the records at the picked current, so a ragged table,
+    one missing some (current, offset) points, reads only recorded counts.
+    Ties prefer the smaller |current|, then the smaller |offset| and channel
+    index; of two values of equal magnitude, the negative one; of a point
+    recorded twice, the later record.  Independent Poisson statistics give
     sigma_E^2 = (1 - E^2) / N_total.
     """
     if scan_kind != "offset":
@@ -481,43 +485,30 @@ def _count_route(scan: _Scan, settings: WitnessSettings) -> WitnessResult:
     n = scan.counts.shape[1]
     if n == 0:
         raise ConfigError("count-ratio witness requires time channels, got 0")
-    currents, current_of = np.unique(scan.currents, return_inverse=True)
-    offsets, offset_of = np.unique(scan.coords, return_inverse=True)
-    row_at = np.full((currents.size, offsets.size), -1)  # (C, D) record row, -1 if not recorded
-    row_at[current_of, offset_of] = np.arange(current_of.size)
-    alphas = np.empty(currents.size)
-    alphas[current_of] = scan.alphas
-    phases = np.empty((offsets.size, n))
-    phases[offset_of] = scan.phases
-    # Candidates in the tie order, so that argmin's first minimum is the documented pick:
-    # currents by |current|, then negative first; (offset, channel) cells by |offset|,
-    # then channel, then negative first.
-    by_current = np.lexsort((currents, np.abs(currents)))
-    cell_offset = np.repeat(np.arange(offsets.size), n)
-    cell_channel = np.tile(np.arange(n), offsets.size)
-    cells = np.lexsort((offsets[cell_offset], cell_channel, np.abs(offsets[cell_offset])))
-    cell_offset, cell_channel = cell_offset[cells], cell_channel[cells]
     shifts = (0.0, math.pi)
     # Targets in (i, k) and (j, l) order: alpha_i + k pi and gamma_j + l pi.
     alpha_targets = np.add.outer((settings.alpha1, settings.alpha2), shifts).ravel()
     gamma_targets = np.add.outer((settings.gamma1, settings.gamma2), shifts).ravel()
-    picked = by_current[np.argmin(
-        _wrapped_distance(alphas[by_current] - alpha_targets[:, None]), axis=1)]
-    rows = row_at[picked][:, cell_offset]  # (ik, cells)
-    distance = _wrapped_distance(phases[cell_offset, cell_channel] - gamma_targets[:, None])
-    best = np.argmin(np.where(rows[:, None] >= 0, distance, np.inf), axis=2)  # (ik, jl)
-    reads = scan.counts[np.take_along_axis(rows, best, axis=1), cell_channel[best]]
-    # (i, k, j, l) -> (i, j, k, l)
-    reads = reads.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).tolist()
-    e = np.empty((2, 2))
-    sig = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            outcome_counts = {(k, l): reads[i][j][k][l] for k in (0, 1) for l in (0, 1)}
-            e[i, j] = expectation_from_counts(outcome_counts)
-            total = sum(outcome_counts.values())
-            sig[i, j] = math.sqrt(max(1.0 - e[i, j] ** 2, 0.0) / total)
-    return witness(e, sig)
+    # Candidates in the tie order, so that argmin's first minimum is the documented pick:
+    # rows by |current|, then negative first; the picked currents' (row, channel) cells by
+    # |offset|, then channel, then negative first, then the later record of a twice-recorded point.
+    by_current = np.lexsort((scan.currents, np.abs(scan.currents)))
+    picked = scan.currents[by_current[np.argmin(
+        _wrapped_distance(scan.alphas[by_current] - alpha_targets[:, None]), axis=1)]]
+    at_picked = scan.currents == picked[:, None]  # (ik, rows)
+    rows = np.flatnonzero(at_picked.any(axis=0))
+    row, channel = rows.repeat(n), np.tile(np.arange(n), rows.size)
+    cells = np.lexsort((-row, scan.coords[row], channel, np.abs(scan.coords[row])))
+    row, channel = row[cells], channel[cells]
+    distance = _wrapped_distance(scan.phases[row, channel] - gamma_targets[:, None])
+    best = np.argmin(np.where(at_picked[:, None, row], distance, np.inf), axis=2)  # (ik, jl)
+    # (i, k, j, l) -> (ij, kl)
+    reads = scan.counts[row[best], channel[best]].reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    e, sig = np.empty(4), np.empty(4)
+    for ij, cell in enumerate(reads.reshape(4, 4).tolist()):
+        e[ij] = expectation_from_counts(dict(zip(((0, 0), (0, 1), (1, 0), (1, 1)), cell)))
+        sig[ij] = math.sqrt(max(1.0 - e[ij] ** 2, 0.0) / sum(cell))
+    return witness(e.reshape(2, 2), sig.reshape(2, 2))
 
 
 class PointSample(NamedTuple):
@@ -560,7 +551,7 @@ def analyze_records(cfg: BeamlineConfig, records, settings: WitnessSettings,
     channel_route, _ = _channel_route(scan, settings)
     diagnostics = {
         "method": "single_channel_global_fit",
-        "channel": channel,
+        "channel": int(channel),
         "n_points": len(samples),
         "chi_square": fit.chi_square,
         "dof": fit.dof,
@@ -608,12 +599,9 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     from ``simulate_scan``'s streams, so equal seeds share no draws.  More
     than 5% failed refits raises a diagnostic error.
     """
-    if not 100 <= resamples <= 2**16 or int(resamples) != resamples:
-        raise ConfigError("resamples must be an integer in [100, 2**16], "
-                          f"got {bounded_repr(resamples)}")
-    resamples = int(resamples)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {bounded_repr(seed)}")
+    resamples = integer_in_range(resamples, 100, 2**16,
+                                 "resamples must be an integer in [100, 2**16], got {}")
+    seed = integer_in_range(seed, 0, 2**64 - 1, "seed must be a 64-bit unsigned integer, got {}")
     theta, observed, _ = _Scan(cfg, records, scan_kind).channel_points(channel)
     means = np.broadcast_to(observed, (resamples, observed.size))
     counts = _poisson_rows(_RESAMPLE_KEY | seed, means).astype(float)

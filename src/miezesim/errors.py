@@ -6,6 +6,8 @@ base class to handle anything raised by miezesim itself.
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "MiezesimError",
     "ConfigError",
@@ -55,3 +57,18 @@ def bounded_repr(value, limit: int = 80) -> str:
         return f"an integer of {value.bit_length()} bits"
     text = repr(value)
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def integer_in_range(value, low: int, high: int, message: str) -> int:
+    """``value`` as an ``int``, if it is a real number equal to an integer in [low, high].
+
+    ``2.0`` and numpy integers count; booleans do not.  Anything else raises
+    ``ConfigError(message)`` with ``bounded_repr(value)`` in place of ``{}``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if (number := int(value)) == value and low <= number <= high:
+                return number
+        except (OverflowError, ValueError):  # int() of an infinity or a NaN
+            pass
+    raise ConfigError(message.format(bounded_repr(value)))

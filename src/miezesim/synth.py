@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamline import BeamlineConfig, _scan_phases
-from .errors import ConfigError, bounded_repr
+from .errors import ConfigError, bounded_repr, integer_in_range
 from .wavepacket import WavePacketSpec, contrast_envelope
 
 __all__ = [
@@ -97,11 +97,9 @@ class ScanPlan:
         object.__setattr__(self, "offsets", _finite_tuple(self.offsets, "offsets"))
         if self.detunings is not None:
             object.__setattr__(self, "detunings", _finite_tuple(self.detunings, "detunings"))
-        n = self.time_channels_per_period
-        if not 4 <= n <= _MAX_CHANNELS or int(n) != n:
-            raise ConfigError("time_channels_per_period must be an integer in [4, 2**16], "
-                              f"got {bounded_repr(n)}")
-        object.__setattr__(self, "time_channels_per_period", int(n))
+        object.__setattr__(self, "time_channels_per_period", integer_in_range(
+            self.time_channels_per_period, 4, _MAX_CHANNELS,
+            "time_channels_per_period must be an integer in [4, 2**16], got {}"))
         if not (self.counts_scale > 0.0 and math.isfinite(self.counts_scale)):
             raise ConfigError(f"counts_scale must be positive, got {self.counts_scale!r}")
         if not (self.background_rate >= 0.0 and math.isfinite(self.background_rate)):
@@ -113,11 +111,8 @@ class ScanPlan:
                               f"got {self.background_rate + self.counts_scale!r}")
         if not math.isfinite(self.phase_offset):
             raise ConfigError(f"phase_offset must be finite, got {self.phase_offset!r}")
-        seed = self.rng_seed
-        if not (0 <= seed < _MAX_SEED) or int(seed) != seed:
-            raise ConfigError(
-                f"rng_seed must be a 64-bit unsigned integer, got {bounded_repr(seed)}")
-        object.__setattr__(self, "rng_seed", int(seed))
+        object.__setattr__(self, "rng_seed", integer_in_range(
+            self.rng_seed, 0, _MAX_SEED - 1, "rng_seed must be a 64-bit unsigned integer, got {}"))
 
     @property
     def scan_kind(self) -> str:

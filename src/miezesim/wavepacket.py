@@ -70,7 +70,7 @@ import numpy as np
 
 from .beamline import BeamlineConfig, focusing_distance
 from .constants import CODATA2018
-from .errors import ConfigError, ResolutionError, bounded_repr
+from .errors import ConfigError, ResolutionError, bounded_repr, integer_in_range
 
 Array = np.ndarray
 
@@ -141,10 +141,9 @@ class WavePacketSpec:
             raise ConfigError(f"bandwidth must be in (0, 1), got {self.bandwidth!r}")
         if not (self.kappa >= 1.0 and math.isfinite(self.kappa)):
             raise ConfigError(f"kappa must be >= 1, got {self.kappa!r}")
-        if not 64 <= self.n_samples <= _MAX_SAMPLES or int(self.n_samples) != self.n_samples:
-            raise ConfigError(
-                f"n_samples must be an integer in [64, 2**20], got {bounded_repr(self.n_samples)}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "n_samples", integer_in_range(
+            self.n_samples, 64, _MAX_SAMPLES,
+            "n_samples must be an integer in [64, 2**20], got {}"))
         min_span = 4.0 if shape is PacketShape.GAUSSIAN else 1.0
         if not (self.half_span >= min_span):
             raise ConfigError(

@@ -243,6 +243,18 @@ def test_fit_time_series_validation():
         fit_time_series(CountsRecord(current=0.0, coord=0.0, counts=(0,) * 16), 1.0)
 
 
+def test_a_flat_point_of_ones_fails_the_per_point_route():
+    # Sixteen 1-counts have w y = w under Poisson weights, so B = 0 exactly:
+    # a failing row that is not all zero.
+    flat = CountsRecord(current=0.0, coord=0.0, counts=(1,) * 16)
+    with pytest.raises(FitError, match="fitted amplitude is exactly zero"):
+        fit_time_series(flat, mieze_frequency(CFG))
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=42))
+    recs[5] = replace(recs[5], counts=flat.counts)
+    with pytest.raises(FitError, match="fitted amplitude is exactly zero"):
+        analyze_records(CFG, recs, SETTINGS)
+
+
 def test_constant_counts_fit_to_zero_amplitude():
     rec = CountsRecord(current=0.0, coord=0.0, counts=(500,) * 16)
     fit = fit_time_series(rec, mieze_frequency(CFG))
@@ -604,6 +616,17 @@ def test_count_route_matches_the_reference_loop_on_tie_tables(currents, offsets,
             settings = WitnessSettings(alpha, alpha + 0.7, gamma, gamma - 2.1)
             assert_same_witness(counts_witness(CFG, records, settings),
                                 reference_counts_witness(CFG, records, settings))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_route_reads_the_later_record_of_a_point_recorded_twice(name):
+    rc = load_preset(name)
+    recs = simulate_scan(rc.beamline, rc.plan)
+    again = [replace(rec, counts=rec.counts[::-1]) for rec in recs]
+    got = counts_witness(rc.beamline, recs + again, rc.settings)
+    assert_same_witness(got, reference_counts_witness(rc.beamline, recs + again, rc.settings))
+    assert_same_witness(got, counts_witness(rc.beamline, again, rc.settings))
+    assert got.s != counts_witness(rc.beamline, recs, rc.settings).s
 
 
 def test_wrapped_distance_equals_the_remainder_bit_for_bit():

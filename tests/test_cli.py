@@ -750,6 +750,18 @@ def single_hot_channel_counts(tmp_path):
     return ["--counts", str(path), "--config", str(write_config(tmp_path))]
 
 
+def one_flat_point_counts(tmp_path):
+    # Sixteen 1-counts at one point fit to B = 0 exactly in the per-point route.
+    args = simulated_counts(tmp_path)
+    path = Path(args[1])
+    rows = path.read_text().splitlines()
+    first = rows[1].split(",")[:2]
+    path.write_text("\n".join([rows[0]] + [
+        ",".join(row[:3] + ["1"]) if row[:2] == first else ",".join(row)
+        for row in (line.split(",") for line in rows[1:])]) + "\n")
+    return args
+
+
 def simulated_counts(tmp_path, **plan):
     data = json.loads(json.dumps(SMALL_CONFIG))
     data["plan"].update(plan)
@@ -765,7 +777,8 @@ def simulated_counts(tmp_path, **plan):
     (lambda tmp_path: simulated_counts(tmp_path, counts_scale=1e-12), "exactly zero"),
     (lambda tmp_path: simulated_counts(tmp_path, currents_a=[-1.0, -0.99], offsets_mm=[-1, 1]),
      "insufficient phase coverage"),
-], ids=["single-hot-channel", "counts-scale-near-zero", "phase-span-below-pi"])
+    (one_flat_point_counts, "fitted amplitude is exactly zero"),
+], ids=["single-hot-channel", "counts-scale-near-zero", "phase-span-below-pi", "one-flat-point"])
 def test_degenerate_counts_exit_4(tmp_path, capsys, counts, message, bootstrap):
     args = counts(tmp_path)
     capsys.readouterr()

@@ -1,8 +1,10 @@
 """Run-config parsing: units, ranges, validation messages, canonical echo."""
 
+import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from miezesim import (
@@ -10,6 +12,7 @@ from miezesim import (
     PRESETS,
     ScanPlan,
     WavePacketSpec,
+    analyze_records,
     bootstrap_uncertainty,
     config_echo,
     focusing_distance,
@@ -18,6 +21,8 @@ from miezesim import (
     optimal_settings,
     parse_run_config,
     preset_text,
+    simulate_scan,
+    single_channel_points,
 )
 
 
@@ -431,6 +436,49 @@ def test_unprintable_or_non_integer_input_is_a_config_error(build):
     with pytest.raises(ConfigError) as err:
         build()
     assert len(str(err.value)) < 200
+
+
+@functools.cache
+def scan():
+    rc = load_preset("cg4b-10khz")
+    return rc, simulate_scan(rc.beamline, rc.plan)
+
+
+def bootstrap(**kwargs):
+    rc, records = scan()
+    return bootstrap_uncertainty(rc.beamline, records, rc.settings, **{"resamples": 100, **kwargs})
+
+
+# Each library input that takes an integer: a valid value, and what the input gives for a value.
+INTEGER_INPUTS = {
+    "time_channels_per_period": (16, lambda v: ScanPlan(
+        currents=(-0.9,), time_channels_per_period=v).time_channels_per_period),
+    "rng_seed": (5, lambda v: ScanPlan(currents=(-0.9,), rng_seed=v).rng_seed),
+    "n_samples": (64, lambda v: WavePacketSpec(k0=1e10, bandwidth=0.01, n_samples=v).n_samples),
+    "bootstrap-resamples": (100, lambda v: bootstrap(resamples=v)),
+    "bootstrap-seed": (5, lambda v: bootstrap(seed=v)),
+    "bootstrap-channel": (3, lambda v: bootstrap(channel=v)),
+    "analyze_records-channel": (3, lambda v: json.dumps(analyze_records(
+        scan()[0].beamline, scan()[1], scan()[0].settings, channel=v).diagnostics)),
+    "single_channel_points-channel": (3, lambda v: single_channel_points(
+        scan()[0].beamline, scan()[1], channel=v)),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_INPUTS)
+@pytest.mark.parametrize("bad", ["3", None, True, 2.5],
+                         ids=["str", "None", "bool", "non-integral"])
+def test_a_non_integer_input_is_a_config_error(site, bad):
+    with pytest.raises(ConfigError):
+        INTEGER_INPUTS[site][1](bad)
+
+
+@pytest.mark.parametrize("site", INTEGER_INPUTS)
+@pytest.mark.parametrize("integral", [float, np.int64, np.uint64])
+def test_a_number_equal_to_an_integer_is_taken_as_that_integer(site, integral):
+    value, read = INTEGER_INPUTS[site]
+    got, want = read(integral(value)), read(value)
+    assert got == want and type(got) is type(want)
 
 
 def test_range_with_too_many_points_is_a_config_error():

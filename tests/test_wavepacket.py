@@ -546,6 +546,18 @@ def test_empty_window_gives_empty_arrays():
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
+def test_envelope_at_no_offsets_is_empty():
+    assert contrast_envelope(CFG, SPEC, []) == []
+
+
+def test_non_finite_z_or_t_is_rejected():
+    state = pipeline_packet_state(CFG, SPEC)
+    t = (CFG.l1 + focusing_distance(CFG)) / CFG.velocity
+    for z, at in (([math.nan], t), ([CFG.l1], math.inf)):
+        with pytest.raises(ValueError, match="z and t must be finite"):
+            branch_intensities(state, z, at)
+
+
 def test_multi_dimensional_z_is_rejected_before_any_quadrature(monkeypatch):
     state = pipeline_packet_state(CFG, SPEC)
     focus = CFG.l1 + focusing_distance(CFG)
