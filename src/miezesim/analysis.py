@@ -10,12 +10,12 @@ The analysis chain mirrors how beamline data are reduced:
    ``E(alpha_i, gamma_j) = C cos(alpha_i + gamma_j + phi0)``.
 4. ``witness`` sums them into ``S = E11 + E12 + E21 - E22`` and classifies.
 
-Three independent witness routes are provided and reported side by side
-rather than collapsed: the primary global-fit route
-(``analyze_records`` / ``witness_from_fit``), a per-point route that fits
-every scan point's time series and pools the fits as one complex contrast
-(``channel_fits_witness``), and a direct count-ratio route that picks the
-recorded points nearest the requested analyzer settings
+Three independent witness routes are reported side by side rather than
+collapsed: the primary global-fit route (``analyze_records`` /
+``witness_from_fit``), a per-point route that fits every scan point's time
+series over its own cell phases ``alpha + w_m t + gamma`` and pools the fits
+as one complex contrast (``channel_fits_witness``), and a direct count-ratio
+route that picks the recorded points nearest the requested analyzer settings
 (``counts_witness``).  Agreement between them is a cross-check of the whole
 reduction, so none of them reuses another's fitted numbers.
 
@@ -262,12 +262,13 @@ def _poisson_sigma(counts):
     return np.sqrt(np.maximum(counts, 1.0))
 
 
-def _fit_channels(counts: Array) -> _CosineFits:
-    """Fit every row of a (P, n) counts table over its channels t_i = i T / n."""
+def _fit_channels(counts: Array, theta: Array | None = None) -> _CosineFits:
+    """Fit each row of (P, n) counts over phases theta, by default the offset-scan 2 pi i / n."""
     n = counts.shape[-1]
     if n < 4:
         raise FitError(f"need at least 4 time channels, got {n}")
-    fits = _fit_cosines(2.0 * math.pi * np.arange(n) / n, counts, _poisson_sigma(counts))
+    fits = _fit_cosines(2.0 * math.pi * np.arange(n) / n if theta is None else theta, counts,
+                        _poisson_sigma(counts))
     if fits.failures:
         # An all-zero row fits to B = 0 exactly, so it is always among the failures.
         row = min(fits.failures)
@@ -302,9 +303,9 @@ def fit_global(points) -> FitResult:
 def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
     """Fit one scan point's time channels with ``A + B cos(w_m t + phi)``.
 
-    Channels are the period-folded bins ``t_i = i T / n``; Poisson weighting
-    uses ``sigma^2 = max(counts, 1)``.  ``omega_m`` is only validated: the
-    channel phases ``w_m t_i = 2 pi i / n`` do not depend on it.
+    Channels are the period-folded bins ``t_i = i T / n``, fitted at the phases
+    ``2 pi i / n``: a point's channel phases on offset scans only.  ``omega_m``
+    is only validated; Poisson weighting uses ``sigma^2 = max(counts, 1)``.
     """
     if not (omega_m > 0.0 and math.isfinite(omega_m)):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
@@ -395,6 +396,7 @@ class _Scan:
         (n,) = widths
         # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
         self.alphas, self.phases = _scan_phases(cfg, scan_kind, self.currents, self.coords, n)
+        self.theta = self.alphas[:, None] + self.phases  # (P, n) cell phases, read by every fit
         try:
             self.counts = np.array([rec.counts for rec in records], dtype=float)
             exact = self.counts.max(initial=0.0) < _MAX_COUNT
@@ -410,9 +412,8 @@ class _Scan:
         n = self.counts.shape[1]
         index = integer_in_range(channel, 0, n - 1,
                                  f"channel {{}} out of range for {n} time channels")
-        phase = self.alphas + self.phases[:, index]
         counts = self.counts[:, index]
-        return phase, counts, _poisson_sigma(counts)
+        return self.theta[:, index], counts, _poisson_sigma(counts)
 
 
 def single_channel_points(cfg: BeamlineConfig, records, channel: int = 0,
@@ -426,9 +427,9 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
                          scan_kind: str = "offset") -> tuple[WitnessResult, FitResult]:
     """Witness from per-point time-series fits (the 'cosine fits' route).
 
-    Every record's channels are fitted separately, and the fits are pooled
-    as one complex contrast ``Z = sum B_p exp(i (phi_p - base_p)) / sum A_p``
-    over points p, with ``base_p`` the point's channel-0 model phase.  No
+    Every record's channels are fitted over their own cell phases, which
+    move with the detuning on a detuning scan, and the fits are pooled as
+    one complex contrast ``Z = sum B_p exp(i phi_p) / sum A_p`` over p.  No
     weight depends on a fitted phase, so a point whose amplitude is rounding
     noise adds nothing to Z.  The pooled fit (C = |Z|, phi0 = arg Z, their
     delta-method covariance, mean level 1, summed chi-square and dof) is
@@ -438,12 +439,11 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
 
 
 def _channel_route(scan: _Scan, settings: WitnessSettings) -> tuple[WitnessResult, FitResult]:
-    fits = _fit_channels(scan.counts)
-    base = scan.channel_points(0)[0]
-    turn = np.exp(1j * (fits.phase - base))
+    fits = _fit_channels(scan.counts, scan.theta)
+    turn = np.exp(1j * fits.phase)
     total = fits.mean_level.sum()
     z = complex(fits.amplitude @ turn) / total
-    # dZ/d(A_p, B_p, phi_p) = (-Z, e^{i(phi_p - base_p)}, i B_p e^{i(phi_p - base_p)}) / sum A
+    # dZ/d(A_p, B_p, phi_p) = (-Z, e^{i phi_p}, i B_p e^{i phi_p}) / sum A
     jac = np.stack([np.full_like(turn, -z), turn, 1j * fits.amplitude * turn], axis=-1) / total
     jac = np.stack([jac.real, jac.imag], axis=1)
     cov_z = np.sum(jac @ fits.covariance @ jac.transpose(0, 2, 1), axis=0)
@@ -451,7 +451,7 @@ def _channel_route(scan: _Scan, settings: WitnessSettings) -> tuple[WitnessResul
     polar = np.array([[z.real * c, z.imag * c], [-z.imag, z.real]]) / c**2  # d(|Z|, arg Z)
     pooled = FitResult(1.0, c, math.atan2(z.imag, z.real),
                        np.pad(polar @ cov_z @ polar.T, ((1, 0), (1, 0))),
-                       float(fits.chi_square.sum()), fits.dof * len(base))
+                       float(fits.chi_square.sum()), fits.dof * len(turn))
     return witness_from_fit(pooled, settings), pooled
 
 

@@ -701,6 +701,56 @@ def test_channel_route_is_calibrated_at_the_preset_counts(name):
     assert np.sum(np.abs(z) <= 3.0) >= 38
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_channel_route_is_calibrated_on_a_detuning_table(name):
+    # gamma = -2 delta_omega t moves from channel to channel, so a fit over 2 pi i / n
+    # alone loses contrast: each point must be fitted over its own cell phases.
+    rc = load_preset(name)
+    plan = replace(rc.plan, detunings=(-3000.0, -1500.0, 1500.0, 3000.0))
+    target = witness_from_contrast(rc.beamline.contrast)
+    z = []
+    for seed in range(3000, 3040):
+        recs = simulate_scan(rc.beamline, replace(plan, rng_seed=seed))
+        result, _ = channel_fits_witness(rc.beamline, recs, rc.settings, scan_kind="detuning")
+        z.append((result.s - target) / result.sigma_s)
+    assert abs(np.mean(z)) <= 1.0
+    assert 0.7 <= np.std(z, ddof=1) <= 1.4
+    assert np.sum(np.abs(z) <= 3.0) >= 38
+
+
+def reference_offset_channel_route(cfg, records, settings):
+    """The per-point route on an offset scan, each point fitted over 2 pi i / n and its
+    fitted phase then re-referenced by its channel-0 phase alpha + gamma."""
+    counts = np.array([rec.counts for rec in records], dtype=float)
+    base = (spin_phase(cfg, np.array([rec.current for rec in records]))
+            + channel_phase(cfg, "offset", np.array([rec.coord for rec in records]), 0,
+                            counts.shape[1]))
+    fits = analysis._fit_channels(counts)
+    turn = np.exp(1j * (fits.phase - base))
+    total = fits.mean_level.sum()
+    z = complex(fits.amplitude @ turn) / total
+    jac = np.stack([np.full_like(turn, -z), turn, 1j * fits.amplitude * turn], axis=-1) / total
+    jac = np.stack([jac.real, jac.imag], axis=1)
+    cov_z = np.sum(jac @ fits.covariance @ jac.transpose(0, 2, 1), axis=0)
+    c = abs(z)
+    polar = np.array([[z.real * c, z.imag * c], [-z.imag, z.real]]) / c**2
+    pooled = analysis.FitResult(1.0, c, math.atan2(z.imag, z.real),
+                                np.pad(polar @ cov_z @ polar.T, ((1, 0), (1, 0))),
+                                float(fits.chi_square.sum()), fits.dof * len(base))
+    return witness_from_fit(pooled, settings)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_channel_route_on_an_offset_scan_matches_the_channel_0_reference(name):
+    rc = load_preset(name)
+    for seed in range(3000, 3010):
+        recs = simulate_scan(rc.beamline, replace(rc.plan, rng_seed=seed))
+        result, _ = channel_fits_witness(rc.beamline, recs, rc.settings)
+        want = reference_offset_channel_route(rc.beamline, recs, rc.settings)
+        assert math.isclose(result.s, want.s, rel_tol=1e-13, abs_tol=0.0)
+        assert math.isclose(result.sigma_s, want.sigma_s, rel_tol=1e-13, abs_tol=0.0)
+
+
 def test_single_channel_points_validation():
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
     with pytest.raises(ConfigError, match="channel"):

@@ -302,6 +302,17 @@ def test_witness_on_a_detuning_table_has_no_count_route(tmp_path, capsys):
     assert report["count_route"] is None
 
 
+def test_witness_on_a_detuning_table_agrees_with_the_per_point_route(tmp_path):
+    out_dir = tmp_path / "det"
+    cfg = write_config(tmp_path, DETUNING_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert main(["witness", "--counts", str(out_dir / "counts.csv"), "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "witness.json").read_text())
+    route = report["channel_route"]
+    combined = math.hypot(route["sigma_s"], report["sigma_s"])
+    assert abs(route["s"] - report["s"]) < 3.0 * combined, (route["s"], report["s"], combined)
+
+
 def test_witness_without_echo_requires_config(tmp_path, capsys):
     counts = run_simulate(tmp_path)
     counts.with_name("counts.meta.json").unlink()
