@@ -24,20 +24,19 @@ call.  The model is linear in ``(A, c, s) = (A, B cos phi, -B sin phi)``, so
 one weighted solve of each row's ``[1, cos theta, sin theta]`` normal
 equations gives the exact optimum; one matrix product gives every row's
 normal matrix and moments together.  The engine has two stages: the solve
-(``_solve_cosines``), then the (A, B, phi) covariance and chi-square
-(``_fit_cosines``).  ``analyze_records`` validates the records once and hands
-that scan to all three routes, which take both stages.  ``B = hypot(c, s)``
-is non-negative with the sign carried by the phase; the (A, B, phi)
-covariance is the linear-parameter one mapped by the delta method
-(Gauss-Newton for ``B > 0``), so the phase sigma grows without bound as
-``B`` tends to zero.  A row fails when its normal matrix is singular to
-working precision (too few distinct phases), its amplitude is exactly zero
-(no phase) or its mean level is not positive.  Flat data fail this way only
-where the solve is exact; other flat rows fit an amplitude of rounding size
-at an arbitrary phase (see ``_solve_cosines``).  One-row fits and the
-per-point route raise the first failure as ``FitError``.  The bootstrap
-takes the solve stage only, since each resample's S is linear in ``c / A``
-and ``s / A``; it counts failed resamples and drops them.
+(``_solve_cosines``), then the covariance ``inv(X^T W X)`` and chi-square
+(``_fit_cosines``).  Fits stay linear until a ``FitResult`` is made, by the
+one map to (A, B, phi) (``_polar_fit``), so the per-point route pools its
+rows as the plain sum ``Z = sum (c_p - i s_p) / sum A_p``.  A row fails
+when its normal matrix is singular to working precision (too few distinct
+phases), its amplitude is exactly zero (no phase) or its mean level is not
+positive.  Flat data fail this way only where the solve is exact; other
+flat rows fit an amplitude of rounding size at an arbitrary phase (see
+``_solve_cosines``).  One-row fits and the per-point route raise the first
+failure as ``FitError``.  The bootstrap takes the solve stage only, since
+each resample's S is linear in ``c / A`` and ``s / A``; it counts failed
+resamples and drops them.  ``analyze_records`` validates the records once
+and hands that scan to all three routes.
 """
 
 from __future__ import annotations
@@ -175,22 +174,35 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
 
 
 class _CosineFits(NamedTuple):
-    """Stacked fits named as in ``FitResult``; failed rows hold NaN, ``failures`` says why."""
+    """Rows' (A, c, s) (NaN where failed, ``failures`` says why), covariance and chi-square."""
 
-    mean_level: Array
-    amplitude: Array
-    phase: Array
+    coef: Array
     covariance: Array
     chi_square: Array
     dof: int
     failures: dict[int, str]
 
-    def one(self) -> FitResult:
-        """The ``FitResult`` of a one-row fit, or its ``FitError``."""
-        if self.failures:
-            raise FitError(self.failures[0])
-        a, b, phi, chi2 = (float(v[0]) for v in (*self[:3], self.chi_square))
-        return FitResult(a, b, phi, self.covariance[0], chi2, self.dof)
+    def fit(self, row: int) -> FitResult:
+        """The ``FitResult`` of one row, or its ``FitError``."""
+        if row in self.failures:
+            raise FitError(self.failures[row])
+        return _polar_fit(self.coef[row], self.covariance[row], float(self.chi_square[row]),
+                          self.dof)
+
+
+def _polar_fit(coef: Array, covariance: Array, chi_square: float, dof: int) -> FitResult:
+    """(A, c, s) and covariance as the ``FitResult`` of (A, B, phi), c = B cos phi, s = -B sin phi.
+
+    ``B = hypot(c, s)`` is non-negative with the sign carried by the phase.  The
+    covariance is mapped by the delta method (Gauss-Newton for ``B > 0``), so
+    the phase sigma grows without bound as ``B`` tends to zero.
+    """
+    a, c, s = coef
+    b = np.hypot(c, s)
+    phase = np.arctan2(-s, c)
+    grad = np.array([[1.0, 0.0, 0.0], [0.0, c / b, s / b], [0.0, s / (b * b), -c / (b * b)]])
+    return FitResult(float(a), float(b), math.pi if phase == -math.pi else float(phase),
+                     grad @ covariance @ grad.T, chi_square, dof)
 
 
 class _CosineSolve(NamedTuple):
@@ -238,37 +250,28 @@ def _solve_cosines(theta: Array, y: Array, sigma: Array) -> _CosineSolve:
 
 
 def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
-    """Fit y = A + B cos(theta + phi) to each (R, N) row of y, sigma; theta broadcasts.
+    """Fit y = A + c cos theta + s sin theta to each (R, N) row of y, sigma; theta broadcasts.
 
-    ``_solve_cosines`` gives the linear coefficients (A, c, s); this stage maps
-    them to (A, B, phi) with c = B cos(phi), s = -B sin(phi), and adds the
-    covariance and chi-square.
+    ``_solve_cosines`` gives the coefficients (A, c, s); this stage adds their
+    covariance inv(X^T W X) and the chi-square.  Rows stay linear: ``fit(row)``
+    makes the (A, B, phi) ``FitResult``.
     """
     basis, w, normal, coef, failures = _solve_cosines(theta, y, sigma)
-    a, c, s = coef.T
-    b = np.hypot(c, s)
     resid = (basis @ coef[..., None])[..., 0] - y
-    phase = np.arctan2(-s, c)
-    phase[phase == -math.pi] = math.pi  # wrap to (-pi, pi]
-    grad = np.zeros(normal.shape)
-    grad[:, 0, 0] = 1.0
-    grad[:, 1:, 1:] = np.moveaxis(np.array([[c / b, s / b], [s / b**2, -c / b**2]]), -1, 0)
-    covariance = grad @ np.linalg.inv(normal) @ grad.transpose(0, 2, 1)
     chi_square = np.einsum("rn,rn->r", w, resid * resid)
-    return _CosineFits(a, b, phase, covariance, chi_square, max(y.shape[-1] - 3, 0), failures)
+    return _CosineFits(coef, np.linalg.inv(normal), chi_square, max(y.shape[-1] - 3, 0), failures)
 
 
 def _poisson_sigma(counts):
     return np.sqrt(np.maximum(counts, 1.0))
 
 
-def _fit_channels(counts: Array, theta: Array | None = None) -> _CosineFits:
-    """Fit each row of (P, n) counts over phases theta, by default the offset-scan 2 pi i / n."""
+def _fit_channels(counts: Array, theta: Array) -> _CosineFits:
+    """Fit each row of (P, n) counts over phases theta."""
     n = counts.shape[-1]
     if n < 4:
         raise FitError(f"need at least 4 time channels, got {n}")
-    fits = _fit_cosines(2.0 * math.pi * np.arange(n) / n if theta is None else theta, counts,
-                        _poisson_sigma(counts))
+    fits = _fit_cosines(theta, counts, _poisson_sigma(counts))
     if fits.failures:
         # An all-zero row fits to B = 0 exactly, so it is always among the failures.
         row = min(fits.failures)
@@ -288,7 +291,7 @@ def _fit_points(theta, y, sigma) -> FitResult:
         raise FitError(
             f"insufficient phase coverage: span {span:.4g} rad, need more than pi"
         )
-    return _fit_cosines(theta, y[None], sigma[None]).one()
+    return _fit_cosines(theta, y[None], sigma[None]).fit(0)
 
 
 def fit_global(points) -> FitResult:
@@ -304,25 +307,26 @@ def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
     """Fit one scan point's time channels with ``A + B cos(w_m t + phi)``.
 
     Channels are the period-folded bins ``t_i = i T / n``, fitted at the phases
-    ``2 pi i / n``: a point's channel phases on offset scans only.  ``omega_m``
-    is only validated; Poisson weighting uses ``sigma^2 = max(counts, 1)``.
+    ``2 pi i / n``: a point's channel phases on offset scans only.  The fit is
+    solved in (A, c, s) and mapped to (A, B, phi) once, as every fit is.
+    ``omega_m`` is only validated; Poisson weighting uses ``sigma^2 = max(counts, 1)``.
     """
     if not (omega_m > 0.0 and math.isfinite(omega_m)):
         raise ValueError(f"omega_m must be positive, got {omega_m!r}")
-    return _fit_channels(np.asarray(record.counts, dtype=float)[None]).one()
+    n = len(record.counts)
+    return _fit_channels(np.asarray(record.counts, dtype=float)[None],
+                         2.0 * math.pi * np.arange(n) / n).fit(0)
 
 
-def _expectation_gradients(fit, settings: WitnessSettings):
-    """E matrix, per-element gradients wrt (A, B, phi), per-element sigma; per row if stacked."""
-    a, b, phi = (np.asarray(v)[..., None, None]
-                 for v in (fit.mean_level, fit.amplitude, fit.phase))
+def _expectation_gradients(fit: FitResult, settings: WitnessSettings):
+    """E matrix, per-element gradients wrt (A, B, phi), per-element sigma."""
+    a, b, phi = fit.mean_level, fit.amplitude, fit.phase
     alphas, gammas = (settings.alpha1, settings.alpha2), (settings.gamma1, settings.gamma2)
     arg = np.add.outer(alphas, gammas) + phi
     c, s = np.cos(arg), np.sin(arg)
     e = (b / a) * c
-    grads = np.stack([-b * c / a**2, c / a, -(b / a) * s], axis=-1)
-    cov = np.asarray(fit.covariance)[..., None, None, :, :]
-    var = np.einsum("...i,...ij,...j->...", grads, cov, grads)
+    grads = np.stack([-b * c / (a * a), c / a, -(b / a) * s], axis=-1)
+    var = np.einsum("...i,ij,...j->...", grads, fit.covariance, grads)
     return e, grads, np.sqrt(np.maximum(var, 0.0))
 
 
@@ -428,30 +432,24 @@ def channel_fits_witness(cfg: BeamlineConfig, records, settings: WitnessSettings
     """Witness from per-point time-series fits (the 'cosine fits' route).
 
     Every record's channels are fitted over their own cell phases, which
-    move with the detuning on a detuning scan, and the fits are pooled as
-    one complex contrast ``Z = sum B_p exp(i phi_p) / sum A_p`` over p.  No
-    weight depends on a fitted phase, so a point whose amplitude is rounding
-    noise adds nothing to Z.  The pooled fit (C = |Z|, phi0 = arg Z, their
-    delta-method covariance, mean level 1, summed chi-square and dof) is
-    evaluated at the witness settings; returns the witness and that fit.
+    move with the detuning on a detuning scan, and the fits are pooled, while
+    still linear, as one complex contrast ``Z = sum B_p exp(i phi_p) / sum A_p
+    = sum (c_p - i s_p) / sum A_p`` over p.  No weight depends on a fitted
+    phase, so a point whose amplitude is rounding noise adds nothing to Z.
+    The pooled fit (mean level 1, C = |Z|, phi0 = arg Z, the pooled linear
+    covariance mapped as every fit's, summed chi-square and dof) is evaluated
+    at the witness settings; returns the witness and that fit.
     """
     return _channel_route(_Scan(cfg, records, scan_kind), settings)
 
 
 def _channel_route(scan: _Scan, settings: WitnessSettings) -> tuple[WitnessResult, FitResult]:
     fits = _fit_channels(scan.counts, scan.theta)
-    turn = np.exp(1j * fits.phase)
-    total = fits.mean_level.sum()
-    z = complex(fits.amplitude @ turn) / total
-    # dZ/d(A_p, B_p, phi_p) = (-Z, e^{i phi_p}, i B_p e^{i phi_p}) / sum A
-    jac = np.stack([np.full_like(turn, -z), turn, 1j * fits.amplitude * turn], axis=-1) / total
-    jac = np.stack([jac.real, jac.imag], axis=1)
-    cov_z = np.sum(jac @ fits.covariance @ jac.transpose(0, 2, 1), axis=0)
-    c = abs(z)
-    polar = np.array([[z.real * c, z.imag * c], [-z.imag, z.real]]) / c**2  # d(|Z|, arg Z)
-    pooled = FitResult(1.0, c, math.atan2(z.imag, z.real),
-                       np.pad(polar @ cov_z @ polar.T, ((1, 0), (1, 0))),
-                       float(fits.chi_square.sum()), fits.dof * len(turn))
+    sums = fits.coef.sum(axis=0)  # Z = sum (c - i s) / sum A: the pool (1, c, s) is linear
+    pool = sums / sums[0]
+    jac = np.array([[0.0, 0.0, 0.0], [-pool[1], 1.0, 0.0], [-pool[2], 0.0, 1.0]]) / sums[0]
+    pooled = _polar_fit(pool, jac @ fits.covariance.sum(axis=0) @ jac.T,
+                        float(fits.chi_square.sum()), fits.dof * len(fits.coef))
     return witness_from_fit(pooled, settings), pooled
 
 

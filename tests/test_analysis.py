@@ -292,16 +292,16 @@ def test_stacked_fits_match_one_row_fits():
             with pytest.raises(FitError, match=reasons[row]) as err:
                 fit_global(points)
             assert str(err.value) == fits.failures[row]
-            assert np.isnan(fits.amplitude[row]) and np.isnan(fits.chi_square[row])
+            assert np.all(np.isnan(fits.coef[row])) and np.isnan(fits.chi_square[row])
             continue
-        one = fit_global(points)
+        got, one = fits.fit(row), fit_global(points)
         np.testing.assert_allclose(
-            [fits.mean_level[row], fits.amplitude[row], fits.chi_square[row]],
+            [got.mean_level, got.amplitude, got.chi_square],
             [one.mean_level, one.amplitude, one.chi_square], rtol=1e-12,
         )
-        assert math.isclose(fits.phase[row], one.phase, abs_tol=1e-12)
+        assert math.isclose(got.phase, one.phase, abs_tol=1e-12)
         np.testing.assert_allclose(
-            fits.covariance[row], one.covariance,
+            got.covariance, one.covariance,
             rtol=1e-12, atol=1e-12 * np.abs(one.covariance).max(),
         )
 
@@ -678,7 +678,7 @@ def test_channel_route_ignores_the_phase_of_a_zero_first_harmonic():
     # sigma_S moves only by the channel weights 1 / max(counts, 1): they give the
     # point's (c, s) variances (1/2, 1) and (1, 1/2).  Its share of S is
     # (c Re u + s Im u) / sum A, u = e^{-i base} sum_ij sign_ij e^{i (alpha_i + gamma_j)}.
-    total = analysis._fit_channels(np.array([rec.counts for rec in recs], float)).mean_level.sum()
+    total = sum(fit_time_series(rec, mieze_frequency(rc.beamline)).mean_level for rec in recs)
     base = single_channel_points(rc.beamline, recs)[3][0]
     s = rc.settings
     x = np.add.outer((s.alpha1, s.alpha2), (s.gamma1, s.gamma2)) - base
@@ -696,7 +696,7 @@ def test_channel_route_is_calibrated_at_the_preset_counts(name):
         recs = simulate_scan(rc.beamline, replace(rc.plan, rng_seed=seed))
         result, _ = channel_fits_witness(rc.beamline, recs, rc.settings)
         z.append((result.s - target) / result.sigma_s)
-    assert np.mean(z) <= 1.0
+    assert abs(np.mean(z)) <= 1.0
     assert 0.7 <= np.std(z, ddof=1) <= 1.4
     assert np.sum(np.abs(z) <= 3.0) >= 38
 
@@ -725,19 +725,21 @@ def reference_offset_channel_route(cfg, records, settings):
     base = (spin_phase(cfg, np.array([rec.current for rec in records]))
             + channel_phase(cfg, "offset", np.array([rec.coord for rec in records]), 0,
                             counts.shape[1]))
-    fits = analysis._fit_channels(counts)
-    turn = np.exp(1j * (fits.phase - base))
-    total = fits.mean_level.sum()
-    z = complex(fits.amplitude @ turn) / total
-    jac = np.stack([np.full_like(turn, -z), turn, 1j * fits.amplitude * turn], axis=-1) / total
+    fits = [fit_time_series(rec, mieze_frequency(cfg)) for rec in records]
+    amplitude = np.array([fit.amplitude for fit in fits])
+    turn = np.exp(1j * (np.array([fit.phase for fit in fits]) - base))
+    total = sum(fit.mean_level for fit in fits)
+    z = complex(amplitude @ turn) / total
+    jac = np.stack([np.full_like(turn, -z), turn, 1j * amplitude * turn], axis=-1) / total
     jac = np.stack([jac.real, jac.imag], axis=1)
-    cov_z = np.sum(jac @ fits.covariance @ jac.transpose(0, 2, 1), axis=0)
+    cov_z = np.sum(jac @ np.array([fit.covariance for fit in fits]) @ jac.transpose(0, 2, 1),
+                   axis=0)
     c = abs(z)
     polar = np.array([[z.real * c, z.imag * c], [-z.imag, z.real]]) / c**2
     pooled = analysis.FitResult(1.0, c, math.atan2(z.imag, z.real),
                                 np.pad(polar @ cov_z @ polar.T, ((1, 0), (1, 0))),
-                                float(fits.chi_square.sum()), fits.dof * len(base))
-    return witness_from_fit(pooled, settings)
+                                sum(fit.chi_square for fit in fits), fits[0].dof * len(base))
+    return witness_from_fit(pooled, settings), pooled
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -745,10 +747,15 @@ def test_channel_route_on_an_offset_scan_matches_the_channel_0_reference(name):
     rc = load_preset(name)
     for seed in range(3000, 3010):
         recs = simulate_scan(rc.beamline, replace(rc.plan, rng_seed=seed))
-        result, _ = channel_fits_witness(rc.beamline, recs, rc.settings)
-        want = reference_offset_channel_route(rc.beamline, recs, rc.settings)
+        result, pooled = channel_fits_witness(rc.beamline, recs, rc.settings)
+        want, want_pooled = reference_offset_channel_route(rc.beamline, recs, rc.settings)
         assert math.isclose(result.s, want.s, rel_tol=1e-13, abs_tol=0.0)
         assert math.isclose(result.sigma_s, want.sigma_s, rel_tol=1e-13, abs_tol=0.0)
+        assert math.isclose(pooled.contrast, want_pooled.contrast, rel_tol=1e-13, abs_tol=0.0)
+        assert math.isclose(pooled.phase, want_pooled.phase, rel_tol=0.0, abs_tol=1e-13)
+        np.testing.assert_allclose(pooled.covariance, want_pooled.covariance, rtol=0.0,
+                                   atol=1e-13 * np.abs(want_pooled.covariance).max())
+        assert np.all(pooled.covariance[0] == 0.0) and np.all(pooled.covariance[:, 0] == 0.0)
 
 
 def test_single_channel_points_validation():
@@ -1001,9 +1008,9 @@ def full_path_s_values(cfg, recs, settings, resamples, seed):
     counts = np.array([_resample_rng(seed, index).poisson(observed)
                        for index in range(resamples)], dtype=float)
     fits = _fit_cosines(theta, counts, np.sqrt(np.maximum(counts, 1.0)))
-    e, _, _ = analysis._expectation_gradients(fits, settings)
-    s = e[..., 0, 0] + e[..., 0, 1] + e[..., 1, 0] - e[..., 1, 1]
-    return len(fits.failures), np.delete(s, list(fits.failures))
+    s = [witness_from_fit(fits.fit(row), settings).s
+         for row in range(resamples) if row not in fits.failures]
+    return len(fits.failures), np.array(s)
 
 
 def degenerate_table():

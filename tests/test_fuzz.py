@@ -274,9 +274,10 @@ def reference_read_counts_csv(path) -> CountsTable:
     for (current, coord), entries in grouped.items():
         point_channels, point_counts = zip(*entries)
         if point_channels != tuple(range(len(entries))):
-            raise ConfigError(
-                f"{path}: point ({current}, {coord}) has non-consecutive channels"
-            )
+            k = point_channels.count(0)  # a point recorded k times reads range(m) k times over
+            repeated = k > 1 and point_channels == tuple(range(len(entries) // k)) * k
+            raise ConfigError(f"{path}: point ({current}, {coord}) " + (
+                f"is recorded {k} times" if repeated else "has non-consecutive channels"))
         records.append(CountsRecord(current=current, coord=coord, counts=point_counts))
     widths = {len(r.counts) for r in records}
     if len(widths) != 1:

@@ -574,6 +574,13 @@ def test_csv_offsets_round_trip_exactly_through_the_sidecar_plan(tmp_path):
             "inconsistent",
         ),
         ("current_A,delta_mm,channel,counts\n-0.94,zz,0,5\n", "bad.csv:2"),
+        (
+            "current_A,delta_mm,channel,counts\n"
+            + "".join(f"-0.94,0,{i},5\n" for i in range(4))
+            + "".join(f"-0.9,0,{i},5\n" for i in range(4))
+            + "".join(f"-0.94,0,{i},5\n" for i in range(4)),
+            r"point \(-0.94, 0.0\) is recorded 2 times",
+        ),
         ("current_A,delta_mm,channel,counts\n-0.94,0,0,-5\n", "non-negative"),
     ],
 )
