@@ -406,10 +406,12 @@ class _Scan:
             exact = self.counts.max(initial=0.0) < _MAX_COUNT
         except OverflowError:  # a count beyond the float range
             exact = False
-        if not exact:  # floats round near 2**53, so the integers decide
-            largest = max(max(rec.counts, default=0) for rec in records)
-            if largest > _MAX_COUNT:
-                raise ConfigError(_count_over_bound(largest))
+        if not exact:  # floats round near 2**53, so the integers decide; a NaN lands here too
+            for count in (count for rec in records for count in rec.counts):
+                if count > _MAX_COUNT:
+                    raise ConfigError(_count_over_bound(count))
+                if count != count:
+                    raise ConfigError(f"counts must be numbers, got {count!r}")
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""

@@ -195,18 +195,23 @@ def _scan_phases(cfg: BeamlineConfig, scan_kind: str, currents, coords,
     """Spin phases of ``currents`` and the (len(coords), n) channel phases omega_m t + gamma.
 
     The one path from a scan to its phases, for simulation and analysis alike.
-    Raises ConfigError for the first current, then the first coordinate, whose
-    phase overflows or exceeds 2**32 rad.  ``n == 0`` gives an empty table.
+    Raises ConfigError for the first current, then the first coordinate, that
+    is not finite or whose phase overflows or exceeds 2**32 rad.  ``n == 0``
+    gives an empty table.
     """
     currents, coords = np.ravel(currents), np.ravel(coords)
+    # the phase functions reject a non-finite value outright: it is phased as 0
+    # here and named below
+    finite_currents, finite_coords = np.isfinite(currents), np.isfinite(coords)
     with np.errstate(over="ignore", invalid="ignore"):
-        alphas = spin_phase(cfg, currents)
-        phases = (channel_phase(cfg, scan_kind, coords[:, None], np.arange(n), n) if n
-                  else np.zeros((coords.size, 0)))
+        alphas = spin_phase(cfg, np.where(finite_currents, currents, 0.0))
+        phases = (channel_phase(cfg, scan_kind, np.where(finite_coords, coords, 0.0)[:, None],
+                                np.arange(n), n) if n else np.zeros((coords.size, 0)))
     coord_name, coord_unit = ("detuning", "rad/s") if scan_kind == "detuning" else ("offset", "m")
     for values, worst, name, unit, kind in (
-        (currents, np.abs(alphas), "current", "A", "spin"),
-        (coords, np.abs(phases).max(axis=1, initial=0.0), coord_name, coord_unit, "energy"),
+        (currents, np.where(finite_currents, np.abs(alphas), np.inf), "current", "A", "spin"),
+        (coords, np.where(finite_coords, np.abs(phases).max(axis=1, initial=0.0), np.inf),
+         coord_name, coord_unit, "energy"),
     ):
         bad = np.flatnonzero(~(worst <= _MAX_PHASE))
         if bad.size:

@@ -13,19 +13,17 @@ flippers, and ``Omega_b`` the accumulated energy offsets ``+- omega``.
 Position-space intensities are evaluated by trapezoidal quadrature of the
 oscillatory integral over a window of planes.  The sum is an entire
 function of the plane, so a window with more planes than the Chebyshev
-points its phase reach needs is evaluated at those points from its
-Chebyshev series and interpolated to every plane, instead of a phasor per
-plane and k sample; any other window is summed directly, as one complex
-matrix-vector product per k sum.  The series coefficients are
-Jacobi-Anger sums of Bessel values, which Miller's backward recurrence
-gives by arithmetic alone, so the N + 1 point values take K complex
-exponentials and one (N + 1)^2 cosine table instead of N + 1 complex
-phasor rows; a plane that lies exactly on a point takes the direct sum
-there.  The two spin branches share their window, so they are summed as
-one stack: one degree, from the larger of their phase reaches, one
-recurrence over both branches' k values, and one barycentric table.  A
-binary search of the planes among the points finds the planes that lie
-exactly on one.
+terms its phase reach needs is summed from its Chebyshev series at every
+plane, instead of a phasor per plane and k sample; any other window is
+summed directly, as one complex matrix-vector product per k sum.  The
+series coefficients are Jacobi-Anger sums of Bessel values, which Miller's
+backward recurrence gives by arithmetic alone, and the Chebyshev
+polynomials at every plane come from their three-term recurrence, so the
+window takes K complex exponentials and one real table of N + 1 values
+per plane instead of a complex phasor row per plane.  The two spin
+branches share their window, so they are summed as one stack: one degree,
+from the larger of their phase reaches, one Bessel recurrence over both
+branches' k values, and one table.
 The dispersion relation is linearized about k0,
 ``omega(k) ~= omega(k0) + v (k - k0)`` with ``v = hbar k0 / m``:
 the dropped quadratic term is common to both spin branches, so every
@@ -399,27 +397,15 @@ def _bessel_orders(a: Array, degree: int) -> Array:
     return out
 
 
-def _points_hit(x: Array, nodes: Array) -> tuple[Array, Array]:
-    """(plane, point) indices of every x equal to a point, as np.nonzero(x[:, None] == nodes).
-
-    The points descend, so a binary search of each x among them reversed
-    finds the one point it can equal.
-    """
-    rising = nodes[::-1]
-    at = np.minimum(np.searchsorted(rising, x), nodes.size - 1)
-    plane = np.flatnonzero(rising[at] == x)
-    return plane, nodes.size - 1 - at[plane]
-
-
 def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array | None:
-    """sum_k weights e^{i(offset + slope u)} at each u, interpolated from Chebyshev points.
+    """sum_k weights e^{i(offset + slope u)} at each u, from its Chebyshev series.
 
     ``offset`` and ``slope`` are (K,) for one sum, which gives (Z,), or
     (B, K) for a stack of B sums over the same window, which gives (B, Z);
     ``weights`` broadcasts against them.  None, for the direct sum, when the
-    window is of zero or non-finite width or needs as many Chebyshev points
+    window is of zero or non-finite width or needs as many Chebyshev terms
     as it has planes.  The planes may come in any order and at any spacing:
-    the interpolant holds anywhere inside the window.
+    the series holds anywhere inside the window.
 
     With mid and h the window's centre and half-width, u = mid + h x maps it
     onto x in [-1, 1], where the sum is F(x) = sum_k V_k e^{i a_k x} with
@@ -432,29 +418,26 @@ def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> A
     before, so the dropped terms sum to less than 2 * 1e-18 / (1 - 1/e)
     < 3.2e-18 of sum|V|, in every row.
 
-    The degree-N series is evaluated at the N + 1 Chebyshev points of the
-    second kind, x_j = cos(pi j / N), through one (N + 1)^2 table of
-    cos(n pi j / N).  The degree-N interpolant through those values,
-    evaluated at every plane by the second-kind barycentric formula (forward
-    stable at these points), is that series itself, so the dropped terms
-    stay below 3.2e-18 of sum|V|, with no aliasing onto the kept ones.
+    The series is summed at every plane from one table of T_0 ... T_N at
+    each plane's x, by T_0 = 1, T_1 = x and T_n = 2x T_{n-1} - T_{n-2}
+    (Trefethen, Approximation Theory and Approximation Practice, 2013), and
+    one real product of that table with the coefficients of every row.  No
+    plane is a special case.
 
     The rounding of the kept terms dominates.  J_0 ... J_N come from Miller's
     backward recurrence (``_bessel_orders``), one run over the B K values of
     a_k, arithmetic only, each within 3e-15 of the true value for A up to
-    90; so each c_n is within e_n * 3e-15 of sum|V|, and F within
-    2 (N + 1) * 3e-15 of sum|V| at worst.  Those errors vary in sign over n
-    and k, and in practice F stays within about 2e-16 sum|V| of the exact
-    sum at the points, while the direct sum's own rounding, from phases of
-    up to hundreds of rad, is some 1e-15 sum|V|.  A transport window
-    (A ~ 12) needs 41 points, so 49 orders of recurrence over 4096 k and
-    4096 complex exponentials per row, instead of a phasor per plane.  The
-    rows share the points, the cosine table and the barycentric table, and
-    each stage is one real matrix product over all rows.  The points are
-    computed as sin(pi m / 2N), m = N, N - 2, ..., -N, so that they are
-    exactly symmetric and the middle one is 0.  A plane that lies exactly on
-    a point, found by a binary search of the planes among the points, takes
-    each row's direct sum there, one phasor row per such plane and row.
+    90; so each c_n is within e_n * 3e-15 of sum|V|.  The T_n recurrence is
+    exact at x = 0 and +-1, and near +-1 it can amplify rounding by up to
+    about n^2, most at the high orders, where the c_n have fallen off.
+    Those errors vary in sign over n and k: measured against the direct sum,
+    F stays within 7e-15 sum|V| on criterion 6's 1201-plane transport
+    windows and within 5e-15 sum|V| on 200 drawn windows of reach up to 90,
+    about the direct sum's own rounding from phases of up to hundreds of
+    rad.  A transport window (A ~ 12) needs degree 40, so 49 orders of
+    Bessel recurrence over 4096 k and 4096 complex exponentials per row, and
+    a table of 41 real values per plane, instead of a complex phasor per
+    plane and k.
     """
     n = u.size
     low, high = float(u.min()), float(u.max())  # Python floats overflow to inf silently
@@ -462,18 +445,13 @@ def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> A
     reach = float(np.max(np.abs(slope))) * half
     if not (half > 0.0 and math.isfinite(mid) and math.isfinite(reach)):
         return None
-    points, bound = 1, reach / 2.0  # bound = (A/2)^points / points!
-    while bound >= _CHEBYSHEV_TAIL and points < n:
-        points += 1
-        bound *= reach / 2.0 / points
-    degree = max(points - 1, 1)
+    terms, bound = 1, reach / 2.0  # bound = (A/2)^terms / terms!
+    while bound >= _CHEBYSHEV_TAIL and terms < n:
+        terms += 1
+        bound *= reach / 2.0 / terms
+    degree = max(terms - 1, 1)
     if degree + 1 >= n:
         return None
-    # sin, not cos, so that the points are symmetric and the middle one is 0;
-    # the points x >= 0 in descending order, then their exact negatives
-    upper = np.sin(math.pi * np.arange(degree, -1, -2) / (2 * degree))
-    lower = upper[:(degree + 1) // 2][::-1]
-    nodes = np.r_[upper, -lower]
     offsets, slopes = np.atleast_2d(offset, slope)
     rows = slopes.shape[0]
     v = weights * np.exp(1j * (offsets + slopes * mid))
@@ -482,22 +460,17 @@ def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> A
     # would cast the table; then sum_k V_k J_n(a_k) as (N + 1, B) complex
     pairs = np.matmul(bessel.transpose(1, 0, 2), v.view(float).reshape(rows, -1, 2))
     coeffs = np.ascontiguousarray(pairs.transpose(1, 0, 2)).view(complex)[..., 0]
-    orders = np.arange(degree + 1)
-    coeffs *= np.array([1.0, 1j, -1.0, -1j])[orders % 4, None]
+    coeffs *= np.array([1.0, 1j, -1.0, -1j])[np.arange(degree + 1) % 4, None]
     coeffs[1:] *= 2.0
-    # cos(n theta_j) at theta_j = pi j / N, from n j reduced mod 2N
-    table = np.cos(math.pi / degree * (np.multiply.outer(orders, orders) % (2 * degree)))
-    # each point's value, (re, im) per row, and a column of ones for the denominators
-    values = np.column_stack((table @ coeffs.view(float), np.ones(degree + 1)))
+    # T_0 ... T_N at every plane, by T_n = 2x T_{n-1} - T_{n-2}
     x = (u - mid) / half
-    row, col = _points_hit(x, nodes)  # a plane on a point takes the direct sum there
-    gaps = np.subtract.outer(x, nodes)
-    gaps[row, col] = 1.0
-    bary = np.where(orders % 2, -1.0, 1.0)
-    bary[[0, -1]] *= 0.5
-    sums = np.divide(bary, gaps, out=gaps) @ values
-    out = (sums[:, :-1] / sums[:, -1:]).view(complex).T
-    out[:, row] = _direct_sum(weights, offset, slope, u[row])
+    table = np.empty((degree + 1, n))
+    table[0], table[1] = 1.0, x
+    two_x = 2.0 * x
+    for order in range(2, degree + 1):
+        np.multiply(two_x, table[order - 1], out=table[order])
+        table[order] -= table[order - 2]
+    out = (table.T @ coeffs.view(float)).view(complex).T
     return out if np.ndim(slope) == 2 else out[0]
 
 
@@ -508,9 +481,9 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
     ``offset`` and ``slope`` are (K,) for one integral, which gives (Z,), or
     (B, K) for a stack of B, which gives (B, Z); each row is guarded in turn
     under its entry of ``labels``.  A window with more planes than the
-    Chebyshev points its phase reach needs is evaluated at those points from
-    its Chebyshev series and interpolated to every plane, all rows in one
-    pass (see ``_chebyshev_k_sum``, which states the error bound).  Any
+    Chebyshev terms its phase reach needs is summed from its Chebyshev
+    series at every plane, all rows in one pass (see ``_chebyshev_k_sum``,
+    which states the error bound).  Any
     other window, such as an envelope's few offsets, takes the direct Z x K
     quadrature, row by row.
     """
@@ -521,9 +494,9 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
         _guard(row_offset, row_slope, ends, label)
     half = np.diff(state.k) / 2.0
     weights = amp * (np.r_[half, 0.0] + np.r_[0.0, half])
-    interpolated = _chebyshev_k_sum(weights, offset, slope, u)
-    if interpolated is not None:
-        return interpolated
+    series = _chebyshev_k_sum(weights, offset, slope, u)
+    if series is not None:
+        return series
     return _direct_sum(weights, offset, slope, u)
 
 

@@ -858,6 +858,23 @@ def test_every_route_rejects_a_count_over_2_to_the_53(route, count, shown):
         ROUTES[route](recs, "offset")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("current", math.nan, "current nan A gives a non-finite spin phase"),
+    ("coord", math.inf, "offset inf m gives a non-finite energy phase"),
+    ("counts", math.nan, "counts must be numbers, got nan"),
+], ids=["nan-current", "inf-coord", "nan-count"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_names_a_current_coordinate_or_count_that_is_not_finite(route, field, value,
+                                                                           message):
+    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
+    changed = (value,) + recs[3].counts[1:] if field == "counts" else value
+    recs[3] = replace(recs[3], **{field: changed})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ROUTES[route](recs, "offset")
+
+
 def test_a_count_of_2_to_the_53_is_reduced():
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
     recs[3] = replace(recs[3], counts=recs[3].counts[:5] + (2**53,) + recs[3].counts[6:])
