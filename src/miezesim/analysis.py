@@ -19,24 +19,23 @@ route that picks the recorded points nearest the requested analyzer settings
 (``counts_witness``).  Agreement between them is a cross-check of the whole
 reduction, so none of them reuses another's fitted numbers.
 
-All fits share one closed-form engine, which fits a stack of rows in one
-call.  The model is linear in ``(A, c, s) = (A, B cos phi, -B sin phi)``, so
-one weighted solve of each row's ``[1, cos theta, sin theta]`` normal
-equations gives the exact optimum; one matrix product gives every row's
-normal matrix and moments together.  The engine has two stages: the solve
-(``_solve_cosines``), then the covariance ``inv(X^T W X)`` and chi-square
-(``_fit_cosines``).  Fits stay linear until a ``FitResult`` is made, by the
-one map to (A, B, phi) (``_polar_fit``), so the per-point route pools its
-rows as the plain sum ``Z = sum (c_p - i s_p) / sum A_p``.  A row fails
-when its normal matrix is singular to working precision (too few distinct
-phases), its amplitude is exactly zero (no phase) or its mean level is not
-positive.  Flat data fail this way only where the solve is exact; other
-flat rows fit an amplitude of rounding size at an arbitrary phase (see
-``_solve_cosines``).  One-row fits and the per-point route raise the first
-failure as ``FitError``.  The bootstrap takes the solve stage only, since
-each resample's S is linear in ``c / A`` and ``s / A``; it counts failed
-resamples and drops them.  ``analyze_records`` validates the records once
-and hands that scan to all three routes.
+All fits share one closed-form engine, ``_fit_cosines``, which fits a stack
+of rows in one call.  The model is linear in ``(A, c, s) = (A, B cos phi,
+-B sin phi)``, so one weighted solve of each row's ``[1, cos theta, sin theta]``
+normal equations gives the exact optimum; one matrix product gives every
+row's normal matrix and moments together.  The covariance ``inv(X^T W X)``
+and the chi-square are computed when read, so the bootstrap, which reads only
+the coefficients (each resample's S is linear in ``c / A`` and ``s / A``),
+pays for the solve alone.  Fits stay linear until a ``FitResult`` is made, by
+the one map to (A, B, phi) (``_polar_fit``), so the per-point route pools its
+rows as the plain sum ``Z = sum (c_p - i s_p) / sum A_p``.  A row fails when
+its normal matrix is singular to working precision (too few distinct phases),
+its amplitude is exactly zero (no phase) or its mean level is not positive;
+flat data fail this way only where the solve is exact (see ``_fit_cosines``).
+One-row fits and the per-point route raise the first failure as ``FitError``;
+the bootstrap counts failed resamples and drops them.  ``analyze_records``
+validates the records once and hands that scan to all three routes.  Counts
+need no check there: a ``CountsRecord`` holds integers in [0, 2**53] only.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .quantum import (
     classify,
     expectation_from_counts,
 )
-from .synth import _MAX_COUNT, CountsRecord, _count_over_bound, _point_rng, _poisson_rows
+from .synth import CountsRecord, _point_rng, _poisson_rows
 
 Array = np.ndarray
 
@@ -173,23 +172,6 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
     return theta, y, sigma
 
 
-class _CosineFits(NamedTuple):
-    """Rows' (A, c, s) (NaN where failed, ``failures`` says why), covariance and chi-square."""
-
-    coef: Array
-    covariance: Array
-    chi_square: Array
-    dof: int
-    failures: dict[int, str]
-
-    def fit(self, row: int) -> FitResult:
-        """The ``FitResult`` of one row, or its ``FitError``."""
-        if row in self.failures:
-            raise FitError(self.failures[row])
-        return _polar_fit(self.coef[row], self.covariance[row], float(self.chi_square[row]),
-                          self.dof)
-
-
 def _polar_fit(coef: Array, covariance: Array, chi_square: float, dof: int) -> FitResult:
     """(A, c, s) and covariance as the ``FitResult`` of (A, B, phi), c = B cos phi, s = -B sin phi.
 
@@ -205,18 +187,41 @@ def _polar_fit(coef: Array, covariance: Array, chi_square: float, dof: int) -> F
                      grad @ covariance @ grad.T, chi_square, dof)
 
 
-class _CosineSolve(NamedTuple):
-    """Stacked solves: rows' (A, c, s) with failed rows NaN, and the sums the fit stage reuses."""
+class _CosineFits(NamedTuple):
+    """Rows' (A, c, s), NaN where failed (``failures`` says why), the solve's sums and dof.
+
+    The covariance inv(X^T W X) and the chi-square are computed when read, so
+    a caller that needs only ``coef``, as the bootstrap does, pays for the solve
+    alone.  ``fit(row)`` makes one row's (A, B, phi) ``FitResult``.
+    """
 
     basis: Array
+    y: Array
     w: Array
     normal: Array
     coef: Array
+    dof: int
     failures: dict[int, str]
 
+    @property
+    def covariance(self) -> Array:
+        return np.linalg.inv(self.normal)
 
-def _solve_cosines(theta: Array, y: Array, sigma: Array) -> _CosineSolve:
-    """Solve y = A + c cos theta + s sin theta for each (R, N) row of y, sigma; theta broadcasts.
+    @property
+    def chi_square(self) -> Array:
+        resid = (self.basis @ self.coef[..., None])[..., 0] - self.y
+        return np.einsum("rn,rn->r", self.w, resid * resid)
+
+    def fit(self, row: int) -> FitResult:
+        """One row's ``FitResult``, or its ``FitError``; only that row's matrix is inverted."""
+        if row in self.failures:
+            raise FitError(self.failures[row])
+        return _polar_fit(self.coef[row], np.linalg.inv(self.normal[row]),
+                          float(self.chi_square[row]), self.dof)
+
+
+def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
+    """Fit y = A + c cos theta + s sin theta to each (R, N) row of y, sigma; theta broadcasts.
 
     With w = sigma**-2 and the basis b = [1, cos theta, sin theta], one product
     of the stacked rows [w, w y] against the (..., N, 9) outer products b b^T
@@ -246,20 +251,7 @@ def _solve_cosines(theta: Array, y: Array, sigma: Array) -> _CosineSolve:
         for row in np.flatnonzero(failed).tolist()
     }
     coef[failed] = np.nan
-    return _CosineSolve(basis, w, normal, coef, failures)
-
-
-def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
-    """Fit y = A + c cos theta + s sin theta to each (R, N) row of y, sigma; theta broadcasts.
-
-    ``_solve_cosines`` gives the coefficients (A, c, s); this stage adds their
-    covariance inv(X^T W X) and the chi-square.  Rows stay linear: ``fit(row)``
-    makes the (A, B, phi) ``FitResult``.
-    """
-    basis, w, normal, coef, failures = _solve_cosines(theta, y, sigma)
-    resid = (basis @ coef[..., None])[..., 0] - y
-    chi_square = np.einsum("rn,rn->r", w, resid * resid)
-    return _CosineFits(coef, np.linalg.inv(normal), chi_square, max(y.shape[-1] - 3, 0), failures)
+    return _CosineFits(basis, y, w, normal, coef, max(y.shape[-1] - 3, 0), failures)
 
 
 def _poisson_sigma(counts):
@@ -401,17 +393,7 @@ class _Scan:
         # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
         self.alphas, self.phases = _scan_phases(cfg, scan_kind, self.currents, self.coords, n)
         self.theta = self.alphas[:, None] + self.phases  # (P, n) cell phases, read by every fit
-        try:
-            self.counts = np.array([rec.counts for rec in records], dtype=float)
-            exact = self.counts.max(initial=0.0) < _MAX_COUNT
-        except OverflowError:  # a count beyond the float range
-            exact = False
-        if not exact:  # floats round near 2**53, so the integers decide; a NaN lands here too
-            for count in (count for rec in records for count in rec.counts):
-                if count > _MAX_COUNT:
-                    raise ConfigError(_count_over_bound(count))
-                if count != count:
-                    raise ConfigError(f"counts must be numbers, got {count!r}")
+        self.counts = np.array([rec.counts for rec in records], dtype=float)
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""
@@ -592,11 +574,11 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
                           scan_kind: str = "offset") -> BootstrapResult:
     """Parametric Poisson bootstrap of the single-channel witness.
 
-    Each resample redraws every channel count around the observed value, so
-    the spread of refitted S values estimates sigma_S without assuming the
-    propagation linearization.  Resample streams are counter-partitioned from
-    the seed, making the estimate independent of batching, and keyed apart
-    from ``simulate_scan``'s streams, so equal seeds share no draws.  More
+    Each resample redraws the fitted channel's count at each point around
+    its observed value; the spread of refitted S values estimates sigma_S
+    without assuming the propagation linearization.  Resample streams are
+    counter-partitioned from the seed (independent of batching) and keyed
+    apart from ``simulate_scan``'s, so equal seeds share no draws.  More
     than 5% failed refits raises a diagnostic error.
     """
     resamples = integer_in_range(resamples, 100, 2**16,
@@ -605,7 +587,7 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     theta, observed, _ = _Scan(cfg, records, scan_kind).channel_points(channel)
     means = np.broadcast_to(observed, (resamples, observed.size))
     counts = _poisson_rows(_RESAMPLE_KEY | seed, means).astype(float)
-    solved = _solve_cosines(theta, counts, _poisson_sigma(counts))
+    solved = _fit_cosines(theta, counts, _poisson_sigma(counts))  # reads coef and failures only
     failures = len(solved.failures)
     if failures > 0.05 * resamples:
         raise DiagnosticError(

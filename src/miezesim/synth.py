@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -57,6 +58,24 @@ _MAX_MEAN = 2**52  # tens of millions of sigma below _MAX_COUNT
 def _count_over_bound(count) -> str:
     return ("counts must be at most 2**53, where floats stop holding integers exactly, "
             f"got {bounded_repr(count)}")
+
+
+def _count(value) -> int:
+    """``value`` as an ``int`` count: an integer in [0, 2**53] as ``integer_in_range`` reads one.
+
+    A failure is a ``ConfigError`` naming the value, checked in order: a NaN, over
+    2**53 (an infinity too), negative, then any other non-integer (1.5, a bool).
+    """
+    if type(value) is int and 0 <= value <= _MAX_COUNT:  # as simulate_scan and the reader give
+        return value
+    if isinstance(value, numbers.Real):
+        if value != value:
+            raise ConfigError(f"counts must be numbers, got {bounded_repr(value)}")
+        if value > _MAX_COUNT:
+            raise ConfigError(_count_over_bound(value))
+        if value < 0:
+            raise ConfigError(f"counts must be non-negative, got {bounded_repr(value)}")
+    return integer_in_range(value, 0, _MAX_COUNT, "counts must be integers, got {}")
 
 
 def _finite_tuple(values, name: str) -> tuple[float, ...]:
@@ -133,7 +152,9 @@ class CountsRecord:
     """One scan point: coil current, second coordinate, per-channel counts.
 
     ``coord`` is the detector offset in meters for offset scans and the
-    detuning in rad/s for detuning scans.
+    detuning in rad/s for detuning scans.  Each count is an integer in
+    [0, 2**53] (``_count``), stored as an ``int``, so every record that
+    constructs writes a table that ``read_counts_csv`` reads back equal.
     """
 
     current: float
@@ -141,8 +162,7 @@ class CountsRecord:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ConfigError("counts must be non-negative")
+        object.__setattr__(self, "counts", tuple(map(_count, self.counts)))
 
     @property
     def total(self) -> int:
@@ -354,11 +374,7 @@ def read_counts_csv(path) -> CountsTable:
                 current = float(current_text)
                 coord = (plan_coords[coord_text] if coord_text in plan_coords
                          else float(coord_text) / scale)
-            channel, count = int(channel), int(count)
-            if count > _MAX_COUNT:
-                raise ValueError(_count_over_bound(count))
-            if count < 0:
-                raise ValueError(f"counts must be non-negative, got {bounded_repr(count)}")
+            channel, count = int(channel), _count(int(count))
             if entries is None:
                 if not math.isfinite(current):
                     raise ValueError(f"{header[0]} must be finite, got {current!r}")
@@ -366,7 +382,7 @@ def read_counts_csv(path) -> CountsTable:
                     raise ValueError(f"{header[1]} must be finite, got {coord!r}")
                 entries = by_text[current_text, coord_text] = grouped.setdefault(
                     (current, coord), [])
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         entries.append((channel, count))
     if not grouped:

@@ -850,25 +850,27 @@ def test_every_route_rejects_a_finite_phase_with_no_digits(route, field, value, 
 @pytest.mark.parametrize("count, shown", [(2**53 + 1, "9007199254740993"),
                                           (10**400, "an integer of 1329 bits")],
                          ids=["2**53+1", "10**400"])
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_every_route_rejects_a_count_over_2_to_the_53(route, count, shown):
-    recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
-    recs[3] = replace(recs[3], counts=(count,) + recs[3].counts[1:])
-    with pytest.raises(ConfigError, match=f"counts must be at most 2\\*\\*53, .* got {shown}$"):
-        ROUTES[route](recs, "offset")
+def test_a_record_rejects_a_count_over_2_to_the_53(count, shown):
+    rec = simulate_scan(CFG, replace(PLAN, rng_seed=0))[3]
+    with pytest.raises(ConfigError, match=f"^counts must be at most 2\\*\\*53, .* got {shown}$"):
+        replace(rec, counts=(count,) + rec.counts[1:])
+
+
+def test_a_record_names_a_count_that_is_not_a_number():
+    rec = simulate_scan(CFG, replace(PLAN, rng_seed=0))[3]
+    with pytest.raises(ConfigError, match=f"^{re.escape('counts must be numbers, got nan')}$"):
+        replace(rec, counts=(math.nan,) + rec.counts[1:])
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("current", math.nan, "current nan A gives a non-finite spin phase"),
     ("coord", math.inf, "offset inf m gives a non-finite energy phase"),
-    ("counts", math.nan, "counts must be numbers, got nan"),
-], ids=["nan-current", "inf-coord", "nan-count"])
+], ids=["nan-current", "inf-coord"])
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_every_route_names_a_current_coordinate_or_count_that_is_not_finite(route, field, value,
-                                                                           message):
+def test_every_route_names_a_current_or_coordinate_that_is_not_finite(route, field, value,
+                                                                      message):
     recs = simulate_scan(CFG, replace(PLAN, rng_seed=0))
-    changed = (value,) + recs[3].counts[1:] if field == "counts" else value
-    recs[3] = replace(recs[3], **{field: changed})
+    recs[3] = replace(recs[3], **{field: value})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -1067,6 +1069,28 @@ def test_bootstrap_flags_degenerate_counts():
     ]
     with pytest.raises((DiagnosticError, FitError)):
         bootstrap_uncertainty(CFG, zeros, SETTINGS, resamples=100, seed=0)
+
+
+def test_bootstrap_forms_no_covariance_and_no_chi_square(monkeypatch):
+    # Each resample's S needs only its (A, c, s): the bootstrap inverts no normal matrix
+    # (np.linalg.inv) and sums no chi-square (np.einsum), eagerly or through the
+    # _CosineFits properties.  A full reduction, spied alike, does both.
+    rc = load_preset("cg4b-10khz")
+    recs = simulate_scan(rc.beamline, rc.plan)
+    formed = []
+
+    def spy(name, call):
+        return lambda *args, **kwargs: formed.append(name) or call(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+    monkeypatch.setattr(np, "einsum", spy("einsum", np.einsum))
+    for name in ("covariance", "chi_square"):
+        monkeypatch.setattr(analysis._CosineFits, name,
+                            property(spy(name, getattr(analysis._CosineFits, name).fget)))
+    boot = bootstrap_uncertainty(rc.beamline, recs, rc.settings, resamples=200, seed=0)
+    assert boot.failures == 0 and formed == []
+    analyze_records(rc.beamline, recs, rc.settings)
+    assert set(formed) == {"inv", "einsum", "covariance", "chi_square"}
 
 
 # ---------------------------------------------------------------------------

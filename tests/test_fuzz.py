@@ -10,6 +10,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -341,3 +342,59 @@ def test_csv_field_over_the_csv_module_limit_is_a_config_error(tmp_path):
     path.write_text("current_A,delta_mm,channel,counts\n" + "1" * 200_000 + ",0,0,5\n")
     with pytest.raises(ConfigError, match="field larger than field limit"):
         read_counts_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the write -> read loop
+
+GOOD_COUNTS = st.one_of(
+    st.integers(0, _MAX_COUNT),
+    st.integers(0, _MAX_COUNT).map(float),
+    st.integers(0, _MAX_COUNT).map(np.int64),
+    st.sampled_from([0, _MAX_COUNT, 2.0, float(_MAX_COUNT), np.uint64(_MAX_COUNT), np.int32(7)]),
+)
+BAD_COUNTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, True, False, -1, _MAX_COUNT + 1,
+                     10**400, np.float64(math.nan), np.int64(-1), "5", None]),
+    st.integers(max_value=-1),
+    st.integers(min_value=_MAX_COUNT + 1),
+    st.floats().filter(
+        lambda v: not (math.isfinite(v) and v.is_integer() and 0 <= v <= _MAX_COUNT)),
+)
+LOOP_PLANS = (
+    ScanPlan(currents=(-0.95, -0.9, 0.1), offsets=(-0.005, 0.0, 0.0123456789), rng_seed=7),
+    ScanPlan(currents=(-0.95, 1e-7), detunings=(-3000.0, 1234.5678), rng_seed=7),
+)
+
+
+@FUZZ
+@given(which=st.integers(0, 1), width=st.integers(1, 5), data=st.data())
+def test_every_record_list_that_constructs_round_trips_through_the_csv(tmp_path, which, width,
+                                                                        data):
+    # Records of one width at distinct points of the plan, counts of any accepted type:
+    # each count is stored as an int, and the table reads back equal and writes back the same.
+    plan = LOOP_PLANS[which]
+    points = data.draw(st.lists(st.sampled_from(
+        [(current, coord) for current in plan.currents for coord in plan.coords]),
+        min_size=1, unique=True))
+    drawn = [data.draw(st.tuples(*[GOOD_COUNTS] * width)) for _ in points]
+    records = [CountsRecord(current=current, coord=coord, counts=counts)
+               for (current, coord), counts in zip(points, drawn)]
+    assert [rec.counts for rec in records] == [tuple(int(c) for c in counts) for counts in drawn]
+    assert all(type(c) is int for rec in records for c in rec.counts)
+    path, again = tmp_path / "counts.csv", tmp_path / "again.csv"
+    write_counts_csv(path, records, plan)
+    table = read_counts_csv(path)
+    assert table.records == tuple(records)
+    write_counts_csv(again, list(table.records), plan)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@FUZZ
+@given(bad=BAD_COUNTS, at=st.integers(0, 3))
+def test_a_count_that_does_not_construct_is_a_config_error_naming_it(bad, at):
+    counts = [5, 6, 7]
+    counts.insert(at, bad)
+    with pytest.raises(ConfigError, match="^counts must be ") as err:
+        CountsRecord(current=-0.94, coord=0.0, counts=tuple(counts))
+    assert str(err.value).endswith(f"got {bounded_repr(bad)}")

@@ -135,6 +135,41 @@ def test_record_rejects_negative_counts():
         CountsRecord(current=-0.94, coord=0.0, counts=(4, -1, 2, 3))
 
 
+BOUND = "counts must be at most 2**53, where floats stop holding integers exactly, got "
+
+
+@pytest.mark.parametrize("count, message", [
+    (math.nan, "counts must be numbers, got nan"),
+    (np.float64(math.nan), "counts must be numbers, got np.float64(nan)"),
+    (math.inf, BOUND + "inf"),
+    (2**53 + 1, BOUND + "9007199254740993"),
+    (np.uint64(2**64 - 1), BOUND + "np.uint64(18446744073709551615)"),
+    (-math.inf, "counts must be non-negative, got -inf"),
+    (np.int64(-3), "counts must be non-negative, got np.int64(-3)"),
+    (1.5, "counts must be integers, got 1.5"),
+    (True, "counts must be integers, got True"),
+    ("5", "counts must be integers, got '5'"),
+], ids=["nan", "np-nan", "inf", "2**53+1", "np-uint64-max", "-inf", "np-negative", "fraction",
+        "bool", "string"])
+def test_record_names_a_count_that_is_no_integer_in_0_to_2_to_the_53(count, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        CountsRecord(current=-0.94, coord=0.0, counts=(4, count, 2, 3))
+
+
+@pytest.mark.parametrize("count", [2.0, np.int64(2), np.uint8(2), np.float32(2.0)],
+                         ids=["float", "np-int64", "np-uint8", "np-float32"])
+def test_record_stores_an_integral_count_as_an_int_that_round_trips(tmp_path, count):
+    plan = ScanPlan(currents=(-0.94,), offsets=(0.0,), time_channels_per_period=4)
+    rec = CountsRecord(current=-0.94, coord=0.0, counts=[4, count, 2**53, 0])
+    assert rec.counts == (4, 2, 2**53, 0) and all(type(c) is int for c in rec.counts)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(path, [rec], plan)
+    assert path.read_text().splitlines()[1:] == [
+        "-0.93999999999999995,0,0,4", "-0.93999999999999995,0,1,2",
+        "-0.93999999999999995,0,2,9007199254740992", "-0.93999999999999995,0,3,0"]
+    assert read_counts_csv(path).records == (rec,)
+
+
 def test_record_total():
     rec = CountsRecord(current=-0.94, coord=0.0, counts=(4, 1, 2, 3))
     assert rec.total == 10

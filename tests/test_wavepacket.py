@@ -593,19 +593,19 @@ def test_resolution_guard_names_the_first_branch_that_fails():
 
 
 # ---------------------------------------------------------------------------
-# the two quadrature paths: interpolated from Chebyshev points over a window
-# with more planes than the points it needs, direct otherwise
+# the two quadrature paths: the Chebyshev series over a window with more
+# planes than the series has terms, direct otherwise
 
 
 @pytest.fixture
 def quadrature_paths(monkeypatch):
-    """The path each k-integral takes, in call order: "interpolated" or "direct"."""
+    """The path each k-integral takes, in call order: "series" or "direct"."""
     taken = []
-    interpolated = wavepacket._chebyshev_k_sum
+    series = wavepacket._chebyshev_k_sum
 
     def spy(*args):
-        out = interpolated(*args)
-        taken.append("direct" if out is None else "interpolated")
+        out = series(*args)
+        taken.append("direct" if out is None else "series")
         return out
 
     monkeypatch.setattr(wavepacket, "_chebyshev_k_sum", spy)
@@ -622,24 +622,24 @@ def transport_window(state, t, planes=1201):
     return np.linspace(center - 2e-7, center + 2e-7, planes)
 
 
-def test_interpolated_quadrature_matches_direct_on_transport_grids(quadrature_paths, monkeypatch):
+def test_series_quadrature_matches_direct_on_transport_grids(quadrature_paths, monkeypatch):
     stages, times = criterion_6_setup()
     windows = [(state, t, transport_window(state, t)) for state in stages for t in times]
-    interpolated = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
-    assert quadrature_paths == ["interpolated"] * len(windows)
+    series = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
+    assert quadrature_paths == ["series"] * len(windows)
     # The direct sum at one plane does not depend on the others, so every 8th
     # plane is checked: the 151 samples run from end plane to end plane, so
-    # they test the Chebyshev interpolant across the whole window.
+    # they test the Chebyshev series across the whole window.
     direct_only(monkeypatch)
-    for (state, t, z), fields in zip(windows, interpolated):
+    for (state, t, z), fields in zip(windows, series):
         for field, want in zip(fields, wavepacket._branch_fields(state, z[::8], t)):
             assert np.max(np.abs(field[::8] - want)) <= 1e-13 * np.max(np.abs(field))
 
 
-def test_nudged_non_uniform_and_unsorted_windows_are_interpolated(quadrature_paths, monkeypatch):
-    # The interpolant holds at any plane inside the window, so a window need
-    # be neither uniform nor sorted, and 42 planes suffice where 41 Chebyshev
-    # points do (a transport window's reach is about 11.6 rad).
+def test_nudged_non_uniform_and_unsorted_windows_take_the_series(quadrature_paths, monkeypatch):
+    # The series holds at any plane inside the window, so a window need be
+    # neither uniform nor sorted, and 42 planes suffice where the series has
+    # 41 terms (a transport window's reach is about 11.6 rad, degree 40).
     stages, times = criterion_6_setup()
     state, t = stages[-1], times[-1]
     rng = np.random.default_rng(13)
@@ -654,10 +654,10 @@ def test_nudged_non_uniform_and_unsorted_windows_are_interpolated(quadrature_pat
         transport_window(state, t, 42),
         transport_window(state, t, 63),
     ]
-    interpolated = [wavepacket._branch_fields(state, z, t) for z in windows]
-    assert quadrature_paths == ["interpolated"] * len(windows)
+    series = [wavepacket._branch_fields(state, z, t) for z in windows]
+    assert quadrature_paths == ["series"] * len(windows)
     direct_only(monkeypatch)
-    for z, fields in zip(windows, interpolated):
+    for z, fields in zip(windows, series):
         for field, want in zip(fields, wavepacket._branch_fields(state, z, t)):
             assert np.max(np.abs(field - want)) <= 1e-13 * np.max(np.abs(field))
 
@@ -685,7 +685,7 @@ def test_window_whose_spacing_overflows_warns_nothing(quadrature_paths):
 
 def test_short_window_takes_the_direct_path(quadrature_paths, monkeypatch):
     # Each preset's plan envelope and 15-offset default envelope: 9 or 15
-    # offsets that need 23 to 73 Chebyshev points.
+    # offsets whose series need 23 to 73 terms.
     windows = []
     for name in sorted(PRESETS):
         rc = load_preset(name)
@@ -705,7 +705,7 @@ def test_detected_intensity_on_a_uniform_window_matches_the_direct_path(quadratu
     t = focus / CFG.velocity
     z = np.linspace(focus - 0.07, focus + 0.07, 201)
     got = detected_intensity(state, z, t, spin_projection=0.3)
-    assert quadrature_paths == ["interpolated"]
+    assert quadrature_paths == ["series"]
     want = [detected_intensity(state, plane, t, spin_projection=0.3) for plane in z]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -742,24 +742,24 @@ def direct_sum(weights, offset, slope, u):
 
 def test_wide_window_matches_the_direct_path(quadrature_paths, monkeypatch):
     # A +-0.8 um window reaches max|slope| * h ~ 47 rad, four times a
-    # transport window, and needs about 95 Chebyshev points.
+    # transport window, and needs a series of degree 95.
     stages, times = criterion_6_setup()
     windows = [(stages[-1], t, centred_window(stages[-1], t, 8e-7, 401)) for t in times]
-    interpolated = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
-    assert quadrature_paths == ["interpolated"] * len(windows)
+    series = [wavepacket._branch_fields(state, z, t) for state, t, z in windows]
+    assert quadrature_paths == ["series"] * len(windows)
     direct_only(monkeypatch)
-    for (state, t, z), fields in zip(windows, interpolated):
+    for (state, t, z), fields in zip(windows, series):
         for field, want in zip(fields, wavepacket._branch_fields(state, z[::4], t)):
             assert np.max(np.abs(field[::4] - want)) <= 1e-13 * np.max(np.abs(field))
 
 
 def test_window_needing_a_point_per_plane_takes_the_direct_path(quadrature_paths, monkeypatch):
     # Reach ~58 rad needs more than 64 points, so 64 planes are summed directly;
-    # 401 planes over the same span take the interpolated path.
+    # 401 planes over the same span take the series path.
     stages, times = criterion_6_setup()
     state, t = stages[-1], times[-1]
     branch_intensities(state, centred_window(state, t, 1e-6, 401), t)
-    assert quadrature_paths == ["interpolated"]
+    assert quadrature_paths == ["series"]
     quadrature_paths.clear()
     z = centred_window(state, t, 1e-6, 64)
     got = branch_intensities(state, z, t)
@@ -780,7 +780,7 @@ def test_window_of_identical_planes_takes_the_direct_path(quadrature_paths, monk
         assert np.all(np.isfinite(values)) and np.array_equal(values, want)
 
 
-def test_plane_on_a_chebyshev_point_takes_its_value(phasor_rows):
+def test_planes_at_the_centre_and_ends_of_the_window_take_the_series(phasor_rows):
     # Planes at exact multiples of 2^-30 m: the centre plane is the window's
     # mid-point, x = 0, and the end planes x = +-1, where the series is summed
     # as at any other plane.
@@ -804,7 +804,7 @@ def test_reversed_window_gives_the_reversed_result(quadrature_paths):
     z = transport_window(state, t)
     forward = wavepacket._branch_fields(state, z, t)
     backward = wavepacket._branch_fields(state, z[::-1], t)
-    assert quadrature_paths == ["interpolated"] * 2
+    assert quadrature_paths == ["series"] * 2
     for field, reversed_field in zip(forward, backward):
         assert np.array_equal(reversed_field, field[::-1])
 
@@ -838,8 +838,8 @@ def random_sum(seed, reach, half, offset_scale=math.pi, k=512):
 
 
 @pytest.mark.parametrize("reach, degree", [(12.0, 41), (12.5, 42), (89.5, 155), (90.0, 156)])
-def test_dyadic_window_takes_the_direct_sum_at_each_plane_on_a_point(phasor_rows, reach,
-                                                                     degree):
+def test_dyadic_window_matches_the_direct_sum_up_to_the_largest_degree(phasor_rows, reach,
+                                                                       degree):
     # Planes at exact multiples of 2^-30 m map to x = -1, 0 and +1 exactly.
     # Next to +-1 the recurrence for T_n can amplify rounding by up to about
     # n^2, so both degree parities are checked up to the largest reach, 90.
@@ -918,7 +918,7 @@ def test_position_intensity_checks_the_projection_before_the_transport(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the Bessel orders behind the Chebyshev coefficients, and the interpolated
+# the Bessel orders behind the Chebyshev coefficients, and the series
 # sum against the direct one over drawn windows
 
 
