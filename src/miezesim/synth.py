@@ -283,22 +283,72 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _coord_reader(sidecar: dict | None, kind: str):
+    """CSV coordinate text -> value: the sidecar plan's value written as it, else the parse."""
+    scale = _COORD_SCALE[kind]
+    try:
+        plan_coords = {_fmt(v * scale): float(v) for v in sidecar["plan"][f"{kind}s"]}
+    except (TypeError, KeyError, OverflowError):
+        plan_coords = {}
+    return lambda text: plan_coords[text] if text in plan_coords else float(text) / scale
+
+
+def _finite_point(header, current: float, coord: float, where: str = "") -> tuple[float, float]:
+    """(current, coord), a point's key; ConfigError naming the first column that is not finite."""
+    if not math.isfinite(current):
+        raise ConfigError(f"{where}{header[0]} must be finite, got {current!r}")
+    if not math.isfinite(coord):
+        raise ConfigError(f"{where}{header[1]} must be finite, got {coord!r}")
+    return current, coord
+
+
+def _table_points(path, grouped: dict) -> list[tuple[float, float, tuple[int, ...]]]:
+    """(current, coord, counts) of each point of ``grouped``: key -> (channel, count) entries.
+
+    No points, channels other than 0 ... m - 1, or mixed widths is a ConfigError naming ``path``.
+    """
+    if not grouped:
+        raise ConfigError(f"{path}: no data rows")
+    points = []
+    for (current, coord), entries in grouped.items():
+        point_channels, point_counts = zip(*entries)
+        if point_channels != tuple(range(len(entries))):
+            k = point_channels.count(0)  # a point recorded k times reads range(m) k times over
+            repeated = k > 1 and point_channels == tuple(range(len(entries) // k)) * k
+            raise ConfigError(f"{path}: point ({current}, {coord}) " + (
+                f"is recorded {k} times" if repeated else "has non-consecutive channels"))
+        points.append((current, coord, point_counts))
+    widths = {len(counts) for _, _, counts in points}
+    if len(widths) != 1:
+        raise ConfigError(f"{path}: inconsistent channel counts across points: {sorted(widths)}")
+    return points
+
+
 def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
                      metadata: dict | None = None) -> Path:
     """Write the counts table and its JSON metadata sidecar.
 
     Returns the sidecar path (``<stem>.meta.json`` next to the CSV).  Extra
     ``metadata`` entries (config echo, model name, versions) are merged into
-    the sidecar.
+    the sidecar.  Before any file is written, records whose table ``read_counts_csv``
+    would refuse raise its ``ConfigError``, and so do records with no counts (no rows).
     """
     kind = plan.scan_kind
-    scale = _COORD_SCALE[kind]
-    points = ((_fmt(rec.current), _fmt(rec.coord * scale), rec.counts) for rec in records)
-    _write_csv(path, ["current_A", _COORD_COLUMNS[kind], "channel", "counts"],
-               ((current, coord, channel, count)
-                for current, coord, counts in points for channel, count in enumerate(counts)))
-    sidecar = _sidecar_path(path)
+    header = ["current_A", _COORD_COLUMNS[kind], "channel", "counts"]
     payload = {"format_version": 1, "scan_kind": kind, "plan": asdict(plan), **(metadata or {})}
+    coord_of, scale = _coord_reader(payload, kind), _COORD_SCALE[kind]
+    points = [(_fmt(rec.current), _fmt(rec.coord * scale), rec.counts) for rec in records]
+    grouped, lineno = {}, 2  # each point keyed as the reader keys it, at its first line
+    for current, coord, counts in points:
+        if counts:  # a record with no counts writes no line
+            key = _finite_point(header, float(current), coord_of(coord), f"{path}:{lineno}: ")
+            grouped.setdefault(key, []).extend(enumerate(counts))
+            lineno += len(counts)
+    if len(_table_points(path, grouped)) < len(points):
+        raise ConfigError(f"{path}: a record with no counts writes no rows")
+    _write_csv(path, header, ((current, coord, channel, count) for current, coord, counts
+                              in points for channel, count in enumerate(counts)))
+    sidecar = _sidecar_path(path)
     _write_json(sidecar, payload, sort_keys=True)
     return sidecar
 
@@ -349,13 +399,9 @@ def read_counts_csv(path) -> CountsTable:
     if header[1] not in kinds:
         raise ConfigError(f"{path}: unrecognized coordinate column {header[1]!r}")
     kind = kinds[header[1]]
-    scale = _COORD_SCALE[kind]
     sidecar = _sidecar_path(path)
     metadata = _read_json(sidecar) if sidecar.exists() else None
-    try:  # the sidecar plan's coordinates, keyed by the CSV text they were written as
-        plan_coords = {_fmt(v * scale): float(v) for v in metadata["plan"][f"{kind}s"]}
-    except (TypeError, KeyError, OverflowError):
-        plan_coords = {}
+    coord_of = _coord_reader(metadata, kind)
 
     # Rows of one point, in file order, under the first (current, coord) seen.  A point's
     # (current, coord) text is parsed and checked on its first line only; its later lines
@@ -371,33 +417,13 @@ def read_counts_csv(path) -> CountsTable:
             current_text, coord_text, channel, count = row
             entries = by_text.get((current_text, coord_text))
             if entries is None:
-                current = float(current_text)
-                coord = (plan_coords[coord_text] if coord_text in plan_coords
-                         else float(coord_text) / scale)
+                current, coord = float(current_text), coord_of(coord_text)
             channel, count = int(channel), _count(int(count))
             if entries is None:
-                if not math.isfinite(current):
-                    raise ValueError(f"{header[0]} must be finite, got {current!r}")
-                if not math.isfinite(coord):
-                    raise ValueError(f"{header[1]} must be finite, got {coord!r}")
                 entries = by_text[current_text, coord_text] = grouped.setdefault(
-                    (current, coord), [])
+                    _finite_point(header, current, coord), [])
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         entries.append((channel, count))
-    if not grouped:
-        raise ConfigError(f"{path}: no data rows")
-
-    records = []
-    for (current, coord), entries in grouped.items():
-        point_channels, point_counts = zip(*entries)
-        if point_channels != tuple(range(len(entries))):
-            k = point_channels.count(0)  # a point recorded k times reads range(m) k times over
-            repeated = k > 1 and point_channels == tuple(range(len(entries) // k)) * k
-            raise ConfigError(f"{path}: point ({current}, {coord}) " + (
-                f"is recorded {k} times" if repeated else "has non-consecutive channels"))
-        records.append(CountsRecord(current=current, coord=coord, counts=point_counts))
-    widths = {len(r.counts) for r in records}
-    if len(widths) != 1:
-        raise ConfigError(f"{path}: inconsistent channel counts across points: {sorted(widths)}")
-    return CountsTable(records=tuple(records), scan_kind=kind, metadata=metadata)
+    records = tuple(CountsRecord(*point) for point in _table_points(path, grouped))
+    return CountsTable(records=records, scan_kind=kind, metadata=metadata)

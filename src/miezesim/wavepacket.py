@@ -100,6 +100,8 @@ _CHEBYSHEV_TAIL = 1e-18
 # every this many orders.
 _MILLER_START = 8
 _MILLER_RESCALE = 8
+# Signs of a branch-symmetric shift, as a column against the (up, down) stack.
+_UP_DOWN = np.array([[-1.0], [1.0]])
 
 
 class PacketShape(str, Enum):
@@ -202,38 +204,31 @@ def coherence_length(spec: WavePacketSpec) -> float:
 
 @dataclass(frozen=True)
 class PacketState:
-    """Immutable two-branch packet over a k grid; see module docstring."""
+    """Immutable two-branch packet over a k grid; see module docstring.
+
+    The branches are stacked (up, down) on axis 0: ``weights`` w_b (2,),
+    ``theta`` theta_b(k) (2, K), ``p`` p_b(k) (2, K) and ``omega`` Omega_b (2,).
+    """
 
     spec: WavePacketSpec
     k: Array
     g: Array
-    weight_up: complex
-    weight_down: complex
-    theta_up: Array
-    theta_down: Array
-    p_up: Array
-    p_down: Array
-    omega_up: float
-    omega_down: float
+    weights: Array
+    theta: Array
+    p: Array
+    omega: Array
 
     def norm_squared(self) -> float:
         """Summed branch populations (|w_up|^2 + |w_down|^2) integral |g|^2 dk."""
         total = float(np.trapezoid(self.g**2, self.k))
-        return (abs(self.weight_up) ** 2 + abs(self.weight_down) ** 2) * total
+        return sum(abs(w) ** 2 for w in self.weights.tolist()) * total
 
 
 def initial_state(spec: WavePacketSpec) -> PacketState:
     """Unpolarized-in-x source packet: equal up/down weights, no phases."""
     k, g = k_distribution(spec)
-    zeros = np.zeros_like(k)
-    r = 1.0 / math.sqrt(2.0)
-    return PacketState(
-        spec=spec, k=k, g=g,
-        weight_up=complex(r), weight_down=complex(r),
-        theta_up=zeros, theta_down=zeros.copy(),
-        p_up=zeros.copy(), p_down=zeros.copy(),
-        omega_up=0.0, omega_down=0.0,
-    )
+    return PacketState(spec=spec, k=k, g=g, weights=np.full(2, complex(1.0 / math.sqrt(2.0))),
+                       theta=np.zeros((2, k.size)), p=np.zeros((2, k.size)), omega=np.zeros(2))
 
 
 def apply_spin_phase_k(state: PacketState, field_integral: float) -> PacketState:
@@ -243,17 +238,9 @@ def apply_spin_phase_k(state: PacketState, field_integral: float) -> PacketState
     """
     if not math.isfinite(field_integral):
         raise ValueError(f"field integral must be finite, got {field_integral!r}")
-    alpha_k = (
-        CODATA2018.neutron_mass
-        * CODATA2018.gyromagnetic_ratio
-        * field_integral
-        / (CODATA2018.hbar * state.k)
-    )
-    return replace(
-        state,
-        theta_up=state.theta_up - alpha_k / 2.0,
-        theta_down=state.theta_down + alpha_k / 2.0,
-    )
+    alpha_k = (CODATA2018.neutron_mass * CODATA2018.gyromagnetic_ratio * field_integral
+               / (CODATA2018.hbar * state.k))
+    return replace(state, theta=state.theta + _UP_DOWN * (alpha_k / 2.0))
 
 
 def apply_rf_flipper(state: PacketState, omega: float, z_flipper: float) -> PacketState:
@@ -270,17 +257,10 @@ def apply_rf_flipper(state: PacketState, omega: float, z_flipper: float) -> Pack
         raise ValueError(f"z_flipper must be finite, got {z_flipper!r}")
     dp = CODATA2018.neutron_mass * omega / (CODATA2018.hbar * state.k)
     # incoming down branch becomes up (energy raised), incoming up becomes down
-    return replace(
-        state,
-        weight_up=state.weight_down,
-        weight_down=state.weight_up,
-        theta_up=state.theta_down - dp * z_flipper,
-        theta_down=state.theta_up + dp * z_flipper,
-        p_up=state.p_down + dp,
-        p_down=state.p_up - dp,
-        omega_up=state.omega_down + omega,
-        omega_down=state.omega_up - omega,
-    )
+    return replace(state, weights=state.weights[::-1],
+                   theta=state.theta[::-1] + _UP_DOWN * (dp * z_flipper),
+                   p=state.p[::-1] - _UP_DOWN * dp,
+                   omega=state.omega[::-1] - _UP_DOWN[:, 0] * omega)
 
 
 def pipeline_packet_state(cfg: BeamlineConfig, spec: WavePacketSpec,
@@ -483,9 +463,8 @@ def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
     under its entry of ``labels``.  A window with more planes than the
     Chebyshev terms its phase reach needs is summed from its Chebyshev
     series at every plane, all rows in one pass (see ``_chebyshev_k_sum``,
-    which states the error bound).  Any
-    other window, such as an envelope's few offsets, takes the direct Z x K
-    quadrature, row by row.
+    which states the error bound).  Any other window, such as an envelope's
+    few offsets, takes the direct Z x K quadrature, row by row.
     """
     if not u.size:
         return np.zeros(np.shape(slope)[:-1] + (0,), dtype=complex)
@@ -510,12 +489,10 @@ def _branch_fields(state: PacketState, z, t: float) -> tuple[Array, Array]:
     # expanding (p + k - k0) z instead would cancel terms of up to ~5e7 rad.
     v_t = state.spec.velocity * t
     u = _z_values(z, t) - v_t
-    dk = state.k - state.spec.k0
-    offset = np.stack([state.theta_up + state.p_up * v_t, state.theta_down + state.p_down * v_t])
-    slope = np.stack([state.p_up + dk, state.p_down + dk])
-    up, down = _k_integral(state, state.g, offset, slope, u, ("up", "down"))
-    return (state.weight_up * np.exp(-1j * state.omega_up * t) * up,
-            state.weight_down * np.exp(-1j * state.omega_down * t) * down)
+    fields = _k_integral(state, state.g, state.theta + state.p * v_t,
+                         state.p + (state.k - state.spec.k0), u, ("up", "down"))
+    return tuple(w * np.exp(-1j * omega * t) * field for w, omega, field
+                 in zip(state.weights.tolist(), state.omega.tolist(), fields))
 
 
 def _shaped_like(z, out: Array):
@@ -553,8 +530,8 @@ def _cross_term(state: PacketState, z: Array) -> Array:
     The relative phase is affine in z, so the resolution guard checks the
     two end planes of the window, where its k step is largest.
     """
-    return _k_integral(state, state.g**2, state.theta_down - state.theta_up,
-                       state.p_down - state.p_up, z, ("relative",))
+    return _k_integral(state, state.g**2, state.theta[1] - state.theta[0],
+                       state.p[1] - state.p[0], z, ("relative",))
 
 
 def detected_intensity(state: PacketState, z, t: float,
@@ -574,11 +551,8 @@ def detected_intensity(state: PacketState, z, t: float,
     if not math.isfinite(spin_projection):
         raise ValueError("spin projection angle must be finite")
     cross = _cross_term(state, z_arr)
-    beat = (
-        np.conj(state.weight_up)
-        * state.weight_down
-        * np.exp(-1j * ((state.omega_down - state.omega_up) * t + spin_projection))
-    )
+    (up, down), omega = state.weights.tolist(), state.omega.tolist()
+    beat = np.conj(up) * down * np.exp(-1j * ((omega[1] - omega[0]) * t + spin_projection))
     return _shaped_like(z, 0.5 * populations + np.real(beat * cross))
 
 
@@ -588,14 +562,12 @@ def stationary_peak_positions(state: PacketState, t: float) -> tuple[float, floa
     Solves d/dk [theta_b + (k + p_b) z - omega(k) t] = 0 at k0 for each
     branch using numerical derivatives of the stored phase arrays.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     v = state.spec.velocity
     idx = int(np.argmin(np.abs(state.k - state.spec.k0)))
-    out = []
-    for theta, p in ((state.theta_up, state.p_up), (state.theta_down, state.p_down)):
-        dtheta = np.gradient(theta, state.k)[idx]
-        dp = np.gradient(p, state.k)[idx]
-        out.append((v * t - dtheta) / (1.0 + dp))
-    return out[0], out[1]
+    return tuple((v * t - np.gradient(state.theta, state.k, axis=1)[:, idx])
+                 / (1.0 + np.gradient(state.p, state.k, axis=1)[:, idx]))
 
 
 def contrast_envelope(cfg: BeamlineConfig, spec: WavePacketSpec,
@@ -621,7 +593,8 @@ def contrast_envelope(cfg: BeamlineConfig, spec: WavePacketSpec,
     focus = cfg.l1 + focusing_distance(cfg, 0.0)
     state = pipeline_packet_state(cfg, spec)
     cross = _cross_term(state, _z_values(focus + np.array(deltas), 0.0))
-    weight = 2.0 * abs(state.weight_up * state.weight_down) / state.norm_squared()
+    up, down = state.weights.tolist()
+    weight = 2.0 * abs(up * down) / state.norm_squared()
     return list(zip(deltas, (weight * np.abs(cross)).tolist()))
 
 

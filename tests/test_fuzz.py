@@ -8,6 +8,7 @@ same examples run every time.
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,53 @@ def test_every_record_list_that_constructs_round_trips_through_the_csv(tmp_path,
     assert table.records == tuple(records)
     write_counts_csv(again, list(table.records), plan)
     assert again.read_bytes() == path.read_bytes()
+
+
+# Two plan offsets whose mm text is the same: each is written as 5.0000000000000231.
+SAME_TEXT = (0.005000000000000023, math.nextafter(0.005000000000000023, 1.0))
+REFUSAL_PLAN = ScanPlan(currents=(-0.9, 0.0), offsets=(0.0,) + SAME_TEXT)
+
+
+def write_unchecked(path, records, plan):
+    """The CSV of ``records`` row for row as the writer lays it out, unchecked, and a plan sidecar."""
+    scale = _COORD_SCALE[plan.scan_kind]
+    with path.open("w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["current_A", _COORD_COLUMNS[plan.scan_kind], "channel", "counts"])
+        out.writerows((_fmt(rec.current), _fmt(rec.coord * scale), channel, count)
+                      for rec in records for channel, count in enumerate(rec.counts))
+    _sidecar_path(path).write_text(json.dumps({"plan": asdict(plan)}))
+
+
+@FUZZ
+@given(records=st.lists(st.builds(
+    CountsRecord,
+    current=st.sampled_from([-0.9, 0.0, -0.0, math.nan, -math.inf]),
+    coord=st.sampled_from((0.0, math.inf) + SAME_TEXT),
+    counts=st.lists(st.integers(0, 9), max_size=3).map(tuple)), max_size=4))
+def test_the_writer_refuses_every_record_list_whose_table_the_reader_refuses(tmp_path, records):
+    # Laid out unchecked, the table either reads back or the line-by-line reader refuses it.
+    # write_counts_csv refuses the second kind with that reader's message and writes no file;
+    # it writes the first kind byte for byte, unless a record has no counts (and so no rows).
+    unchecked, path = tmp_path / "unchecked.csv", tmp_path / "counts.csv"
+    write_unchecked(unchecked, records, REFUSAL_PLAN)
+    expected = read_outcome(reference_read_counts_csv, unchecked).replace(str(unchecked), str(path))
+    path.unlink(missing_ok=True)
+    _sidecar_path(path).unlink(missing_ok=True)
+    try:
+        write_counts_csv(path, records, REFUSAL_PLAN)
+    except ConfigError as exc:
+        assert not path.exists() and not _sidecar_path(path).exists()
+        refused = f"ConfigError: {exc}"
+    else:
+        assert path.read_bytes() == unchecked.read_bytes()
+        assert len(read_counts_csv(path).records) == len(records)
+        refused = None
+    if expected.startswith("ConfigError: "):
+        assert refused == expected
+    elif refused is not None:
+        assert refused == f"ConfigError: {path}: a record with no counts writes no rows"
+        assert not all(rec.counts for rec in records)
 
 
 @FUZZ

@@ -1,6 +1,7 @@
 """Synthetic counting experiment: scan plans, sampling, normalization, CSV."""
 
 import hashlib
+import json
 import math
 import re
 import warnings
@@ -568,6 +569,58 @@ def test_sidecar_plan_echo_reconstructs_plan(tmp_path):
     meta = json.loads(sidecar.read_text())
     assert meta["scan_kind"] == "offset"
     assert ScanPlan(**meta["plan"]) == plan
+
+
+COUNTS = (5, 6, 7, 8)
+# Two offsets whose mm text is the same: each is written as 5.0000000000000231.
+SAME_TEXT = (0.005000000000000023, math.nextafter(0.005000000000000023, 1.0))
+
+
+@pytest.mark.parametrize("offsets, records, message", [
+    ((0.0,), [], ": no data rows"),
+    ((0.0,), [CountsRecord(-0.9, 0.0, ())], ": no data rows"),
+    ((0.0, 0.005), [CountsRecord(-0.9, 0.0, COUNTS), CountsRecord(-0.9, 0.005, COUNTS[:3])],
+     ": inconsistent channel counts across points: [3, 4]"),
+    ((0.0,), [CountsRecord(-0.9, 0.0, COUNTS)] * 2, ": point (-0.9, 0.0) is recorded 2 times"),
+    ((0.0,), [CountsRecord(0.0, 0.0, COUNTS), CountsRecord(-0.0, 0.0, COUNTS)],
+     ": point (0.0, 0.0) is recorded 2 times"),
+    (SAME_TEXT, [CountsRecord(-0.9, coord, COUNTS) for coord in SAME_TEXT],
+     f": point (-0.9, {SAME_TEXT[1]!r}) is recorded 2 times"),
+    ((0.0,), [CountsRecord(math.nan, 0.0, COUNTS)], ":2: current_A must be finite, got nan"),
+    ((0.0,), [CountsRecord(-0.9, 0.0, COUNTS), CountsRecord(-0.9, math.inf, COUNTS)],
+     ":6: delta_mm must be finite, got inf"),
+], ids=["no-records", "no-counts", "mixed-widths", "listed-twice", "signed-zero-current",
+        "same-mm-text", "nan-current", "inf-offset"])
+def test_writer_refuses_with_the_readers_message_before_writing(tmp_path, offsets, records,
+                                                                message):
+    # Each list, written row for row without a check, makes a file the reader refuses
+    # with ``message``; the writer refuses the list with it and writes no file.
+    plan = ScanPlan(currents=(-0.9,), offsets=offsets)
+    unchecked = tmp_path / "unchecked.csv"
+    unchecked.write_text("current_A,delta_mm,channel,counts\n" + "".join(
+        f"{rec.current:.17g},{rec.coord * 1e3:.17g},{channel},{count}\n"
+        for rec in records for channel, count in enumerate(rec.counts)))
+    unchecked.with_suffix(".meta.json").write_text(json.dumps({"plan": {"offsets": offsets}}))
+    with pytest.raises(ConfigError) as read:
+        read_counts_csv(unchecked)
+    assert str(read.value) == f"{unchecked}{message}"
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ConfigError) as wrote:
+        write_counts_csv(path, records, plan)
+    assert str(wrote.value) == f"{path}{message}"
+    assert sorted(tmp_path.iterdir()) == [unchecked, unchecked.with_suffix(".meta.json")]
+
+
+@pytest.mark.parametrize("coord", [0.0, 0.005], ids=["same-point", "own-point"])
+def test_writer_refuses_a_record_with_no_counts_among_others(tmp_path, coord):
+    # Such a record writes no rows, so the table would read back without it.
+    plan = ScanPlan(currents=(-0.9,), offsets=(0.0, 0.005))
+    records = [CountsRecord(-0.9, 0.0, COUNTS), CountsRecord(-0.9, coord, ())]
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ConfigError) as wrote:
+        write_counts_csv(path, records, plan)
+    assert str(wrote.value) == f"{path}: a record with no counts writes no rows"
+    assert not any(tmp_path.iterdir())
 
 
 def test_csv_reads_without_sidecar(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from miezesim import wavepacket
+from miezesim.constants import CODATA2018
 from miezesim import (
     PRESETS,
     BeamlineConfig,
@@ -130,11 +131,40 @@ def test_norm_conserved_through_pipeline():
         assert math.isclose(state.norm_squared(), 1.0, rel_tol=0, abs_tol=1e-9)
 
 
+def reference_pipeline_branches(cfg, spec, field_integral):
+    """Per-branch [weight, theta, p, omega] after coil -> RF1 (z=0) -> RF2 (z=L1)."""
+    k, _ = k_distribution(spec)
+    c = CODATA2018
+    up = [complex(1.0 / math.sqrt(2.0)), np.zeros_like(k), np.zeros_like(k), 0.0]
+    down = list(up)
+    alpha = c.neutron_mass * c.gyromagnetic_ratio * field_integral / (c.hbar * k)
+    up[1], down[1] = up[1] - alpha / 2.0, down[1] + alpha / 2.0
+    for omega, z in ((cfg.omega1, 0.0), (cfg.omega2, cfg.l1)):
+        dp = c.neutron_mass * omega / (c.hbar * k)
+        # the incoming down branch becomes up (energy raised), the incoming up becomes down
+        up, down = ([down[0], down[1] - dp * z, down[2] + dp, down[3] + omega],
+                    [up[0], up[1] + dp * z, up[2] - dp, up[3] - omega])
+    return up, down
+
+
+@pytest.mark.parametrize("coil_turns", [0.0, 0.94])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_stacked_maps_match_the_per_branch_formulas_bit_for_bit(name, coil_turns):
+    # The (up, down) stacks carry the same bits as each branch mapped on its own.
+    rc = load_preset(name)
+    field = coil_turns * rc.beamline.coil_cal
+    state = pipeline_packet_state(rc.beamline, rc.packet, field)
+    up, down = reference_pipeline_branches(rc.beamline, rc.packet, field)
+    stacks = (state.weights, state.theta, state.p, state.omega)
+    assert [stack.shape for stack in stacks] == [(2,), (2, state.k.size), (2, state.k.size), (2,)]
+    for stack, pair in zip(stacks, zip(up, down)):
+        assert np.array_equal(stack, np.array(pair))
+
+
 def test_spin_phase_coil_identity_at_zero_field():
     state = initial_state(SPEC)
     same = apply_spin_phase_k(state, 0.0)
-    assert np.array_equal(same.theta_up, state.theta_up)
-    assert np.array_equal(same.theta_down, state.theta_down)
+    assert np.array_equal(same.theta, state.theta)
 
 
 def test_spin_phase_coil_matches_beamline_phase():
@@ -142,7 +172,7 @@ def test_spin_phase_coil_matches_beamline_phase():
     current = -0.94
     bl = CFG.coil_cal * current
     state = apply_spin_phase_k(initial_state(SPEC), bl)
-    relative = state.theta_down - state.theta_up
+    relative = state.theta[1] - state.theta[0]
     at_k0 = float(np.interp(CFG.k0, state.k, relative))
     assert math.isclose(at_k0, spin_phase(CFG, current), rel_tol=1e-9)
 
@@ -374,10 +404,7 @@ def full_grid_fields(state, z, t):
     zcol = np.asarray(z, dtype=float)[:, None]
     v = state.spec.velocity
     fields = []
-    for w, theta, p, om in (
-        (state.weight_up, state.theta_up, state.p_up, state.omega_up),
-        (state.weight_down, state.theta_down, state.p_down, state.omega_down),
-    ):
+    for w, theta, p, om in zip(state.weights.tolist(), state.theta, state.p, state.omega.tolist()):
         phase = theta + p * zcol + (state.k - state.spec.k0) * (zcol - v * t)
         amp = np.trapezoid(state.g * np.exp(1j * phase), state.k, axis=-1)
         fields.append(w * np.exp(-1j * om * t) * amp)
@@ -558,6 +585,13 @@ def test_non_finite_z_or_t_is_rejected():
             branch_intensities(state, z, at)
 
 
+def test_stationary_peaks_reject_a_non_finite_time():
+    state = pipeline_packet_state(CFG, SPEC)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            stationary_peak_positions(state, t)
+
+
 def test_multi_dimensional_z_is_rejected_before_any_quadrature(monkeypatch):
     state = pipeline_packet_state(CFG, SPEC)
     focus = CFG.l1 + focusing_distance(CFG)
@@ -587,9 +621,9 @@ def test_resolution_guard_names_the_first_branch_that_fails():
     z = transport_window(state, t)
     rough = np.arange(state.k.size, dtype=float)
     with pytest.raises(ResolutionError, match="on the down branch"):
-        branch_intensities(replace(state, theta_down=rough), z, t)
+        branch_intensities(replace(state, theta=np.stack([state.theta[0], rough])), z, t)
     with pytest.raises(ResolutionError, match="on the up branch"):
-        branch_intensities(replace(state, theta_up=rough, theta_down=rough), z, t)
+        branch_intensities(replace(state, theta=np.stack([rough, rough])), z, t)
 
 
 # ---------------------------------------------------------------------------
