@@ -22,8 +22,11 @@ reduction, so none of them reuses another's fitted numbers.
 All fits share one closed-form engine, ``_fit_cosines``, which fits a stack
 of rows in one call.  The model is linear in ``(A, c, s) = (A, B cos phi,
 -B sin phi)``, so one weighted solve of each row's ``[1, cos theta, sin theta]``
-normal equations gives the exact optimum; one matrix product gives every
-row's normal matrix and moments together.  The covariance ``inv(X^T W X)``
+normal equations gives the exact optimum; one matrix product against nine
+columns built from six products (1, cos, sin, cos^2, cos sin, sin^2) gives
+every row's normal matrix and moments together.  A row's rank is certified in
+closed form where det(X^T W X / trace) > 1e-10, and only the rows this does
+not clear are ranked by ``matrix_rank``.  The covariance ``inv(X^T W X)``
 and the chi-square are computed when read, so the bootstrap, which reads only
 the coefficients (each resample's S is linear in ``c / A`` and ``s / A``),
 pays for the solve alone.  Fits stay linear until a ``FitResult`` is made, by
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +81,7 @@ __all__ = [
 ]
 
 _SIGN_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]])
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -224,20 +229,34 @@ def _fit_cosines(theta: Array, y: Array, sigma: Array) -> _CosineFits:
     """Fit y = A + c cos theta + s sin theta to each (R, N) row of y, sigma; theta broadcasts.
 
     With w = sigma**-2 and the basis b = [1, cos theta, sin theta], one product
-    of the stacked rows [w, w y] against the (..., N, 9) outer products b b^T
-    gives the normal matrix sum(w b b^T) and, in its first three columns, the
-    moments sum(w y b).  Both come from the same sums, so a flat row with
-    w y = w (counts of 1) has the normal matrix's constant column as its
-    moments, bit for bit.  It solves to B = 0 exactly only where the divisions
-    by sum(w) are exact too, as on 8 or 16 channels; twelve 1-counts give
-    B ~ 1e-32, sixteen 5-counts B ~ 5e-16, each at an arbitrary phase.
+    of the stacked rows [w, w y] against the (..., N, 9) products b b^T, nine
+    columns stacked from 1, cos, sin, cos^2, cos sin and sin^2, gives the
+    normal matrix sum(w b b^T) and, in its first three columns, the moments
+    sum(w y b).  Both come from the same sums, so a flat row with w y = w
+    (counts of 1) has the normal matrix's constant column as its moments, bit
+    for bit.  It solves to B = 0 exactly only where the divisions by sum(w) are
+    exact too, as on 8 or 16 channels; twelve 1-counts give B ~ 1e-32, sixteen
+    5-counts B ~ 5e-16, each at an arbitrary phase.
+
+    A row has rank 3 when ``matrix_rank(normal, hermitian=True)`` says so.  Most
+    rows are cleared in closed form instead: the normal matrix is positive
+    semi-definite, so its eigenvalues l1 <= l2 <= l3 have l2 l3 <= trace^2 / 4
+    and l1 >= 4 det / trace^2.  Where det(normal / trace) > 1e-10, l1 / l3
+    exceeds 4e-10, far above matrix_rank's 3 eps, and only the rows this does
+    not clear go to ``matrix_rank``; no decision differs from it.
     """
-    basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
-    products = (basis[..., :, None] * basis[..., None, :]).reshape(*basis.shape[:-1], 9)
+    ones, cos, sin = np.ones_like(theta), np.cos(theta), np.sin(theta)
+    basis = np.stack([ones, cos, sin], axis=-1)
+    cos_sin = cos * sin  # b_i b_j == b_j b_i: the normal matrix is exactly symmetric
+    products = np.stack([ones, cos, sin, cos, cos * cos, cos_sin, sin, cos_sin, sin * sin],
+                        axis=-1)
     w = sigma**-2.0
     sums = np.matmul(np.stack([w, w * y], axis=-2), products)
-    normal = sums[:, 0].reshape(-1, 3, 3)  # exactly symmetric: b_i b_j == b_j b_i
-    singular = np.linalg.matrix_rank(normal, hermitian=True) < 3
+    normal = sums[:, 0].reshape(-1, 3, 3)
+    trace = np.maximum(sums[:, 0, 0] + sums[:, 0, 4] + sums[:, 0, 8], _TINY)  # 0 if no weight
+    singular = ~(np.linalg.det(normal / trace[:, None, None]) > 1e-10)
+    if singular.any():
+        singular[singular] = np.linalg.matrix_rank(normal[singular], hermitian=True) < 3
     normal[singular] = np.eye(3)  # a solvable stand-in; these rows are reported failed
     coef = np.linalg.solve(normal, sums[:, 1, :3, None])[..., 0]
     a, c, s = coef.T
@@ -388,12 +407,15 @@ class _Scan:
         widths = {len(rec.counts) for rec in records}
         if len(widths) != 1:
             raise ConfigError(f"inconsistent channel counts across points: {sorted(widths)}")
-        self.currents, self.coords = np.array([(rec.current, rec.coord) for rec in records]).T
         (n,) = widths
+        p = len(records)
+        self.currents = np.fromiter((rec.current for rec in records), float, p)
+        self.coords = np.fromiter((rec.coord for rec in records), float, p)
         # (P,) spin phases and (P, n) phases omega_m t + gamma of every channel at every point
         self.alphas, self.phases = _scan_phases(cfg, scan_kind, self.currents, self.coords, n)
         self.theta = self.alphas[:, None] + self.phases  # (P, n) cell phases, read by every fit
-        self.counts = np.array([rec.counts for rec in records], dtype=float)
+        self.counts = np.fromiter(chain.from_iterable(rec.counts for rec in records), float,
+                                  p * n).reshape(p, n)
 
     def channel_points(self, channel: int) -> tuple[Array, Array, Array]:
         """(phase alpha + omega_m t + gamma, counts, sigma) of one time channel at every point."""

@@ -331,21 +331,30 @@ def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
     Returns the sidecar path (``<stem>.meta.json`` next to the CSV).  Extra
     ``metadata`` entries (config echo, model name, versions) are merged into
     the sidecar.  Before any file is written, records whose table ``read_counts_csv``
-    would refuse raise its ``ConfigError``, and so do records with no counts (no rows).
+    would refuse raise its ``ConfigError``; then so do records with no counts (no rows),
+    and a record that would read back at another coordinate than its own: one off the
+    plan whose mm text does not parse back to it, or the first of two plan offsets that
+    share an mm text.
     """
     kind = plan.scan_kind
     header = ["current_A", _COORD_COLUMNS[kind], "channel", "counts"]
     payload = {"format_version": 1, "scan_kind": kind, "plan": asdict(plan), **(metadata or {})}
     coord_of, scale = _coord_reader(payload, kind), _COORD_SCALE[kind]
     points = [(_fmt(rec.current), _fmt(rec.coord * scale), rec.counts) for rec in records]
-    grouped, lineno = {}, 2  # each point keyed as the reader keys it, at its first line
-    for current, coord, counts in points:
+    # Each point is keyed as the reader keys it, at its first line.
+    grouped, lineno, moved = {}, 2, None
+    for rec, (current, coord, counts) in zip(records, points):
         if counts:  # a record with no counts writes no line
             key = _finite_point(header, float(current), coord_of(coord), f"{path}:{lineno}: ")
+            if moved is None and key[1] != rec.coord:
+                moved = (f"{path}:{lineno}: coordinate {float(rec.coord)!r}, written as "
+                         f"{header[1]} {coord}, would read back as {key[1]!r}")
             grouped.setdefault(key, []).extend(enumerate(counts))
             lineno += len(counts)
     if len(_table_points(path, grouped)) < len(points):
         raise ConfigError(f"{path}: a record with no counts writes no rows")
+    if moved is not None:
+        raise ConfigError(moved)
     _write_csv(path, header, ((current, coord, channel, count) for current, coord, counts
                               in points for channel, count in enumerate(counts)))
     sidecar = _sidecar_path(path)
@@ -405,9 +414,10 @@ def read_counts_csv(path) -> CountsTable:
 
     # Rows of one point, in file order, under the first (current, coord) seen.  A point's
     # (current, coord) text is parsed and checked on its first line only; its later lines
-    # find their entry list by that text.
+    # find their entry list by that text, looked up only where it differs from the line before.
     grouped: dict[tuple[float, float], list[tuple[int, int]]] = {}
     by_text: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    text = None
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -415,12 +425,16 @@ def read_counts_csv(path) -> CountsTable:
             if len(row) != 4:
                 raise ValueError(f"expected 4 columns, got {len(row)}")
             current_text, coord_text, channel, count = row
-            entries = by_text.get((current_text, coord_text))
+            if (current_text, coord_text) != text:
+                text = current_text, coord_text
+                entries = by_text.get(text)
+                if entries is None:
+                    current, coord = float(current_text), coord_of(coord_text)
+            channel, count = int(channel), int(count)
+            if not 0 <= count <= _MAX_COUNT:
+                count = _count(count)  # raises the message of the first rule it breaks
             if entries is None:
-                current, coord = float(current_text), coord_of(coord_text)
-            channel, count = int(channel), _count(int(count))
-            if entries is None:
-                entries = by_text[current_text, coord_text] = grouped.setdefault(
+                entries = by_text[text] = grouped.setdefault(
                     _finite_point(header, current, coord), [])
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc

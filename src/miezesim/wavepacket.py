@@ -208,6 +208,8 @@ class PacketState:
 
     The branches are stacked (up, down) on axis 0: ``weights`` w_b (2,),
     ``theta`` theta_b(k) (2, K), ``p`` p_b(k) (2, K) and ``omega`` Omega_b (2,).
+    Each stack is held as a read-only view, so states that share an array
+    cannot change each other, and the caller's own array stays writable.
     """
 
     spec: WavePacketSpec
@@ -217,6 +219,12 @@ class PacketState:
     theta: Array
     p: Array
     omega: Array
+
+    def __post_init__(self) -> None:
+        for name in ("weights", "theta", "p", "omega"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def norm_squared(self) -> float:
         """Summed branch populations (|w_up|^2 + |w_down|^2) integral |g|^2 dk."""

@@ -173,6 +173,8 @@ def test_fit_rejects_exactly_zero_amplitude():
         # Weights sigma**-2 past the float range, and weighted sums past it.
         cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e-160),
         cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e-154),
+        # Weights that underflow to 0: a normal matrix of zeros is singular.
+        cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e200),
     ],
 )
 def test_fit_global_validates_points(points):
@@ -304,6 +306,121 @@ def test_stacked_fits_match_one_row_fits():
             got.covariance, one.covariance,
             rtol=1e-12, atol=1e-12 * np.abs(one.covariance).max(),
         )
+
+
+def reference_fit_cosines(theta, y, sigma):
+    """(coef, failures) of the engine without the rank certificate: the (..., N, 9) outer
+    products b b^T and ``matrix_rank`` on every row's normal matrix."""
+    basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
+    products = (basis[..., :, None] * basis[..., None, :]).reshape(*basis.shape[:-1], 9)
+    w = sigma**-2.0
+    sums = np.matmul(np.stack([w, w * y], axis=-2), products)
+    normal = sums[:, 0].reshape(-1, 3, 3)
+    singular = np.linalg.matrix_rank(normal, hermitian=True) < 3
+    normal[singular] = np.eye(3)
+    coef = np.linalg.solve(normal, sums[:, 1, :3, None])[..., 0]
+    a, c, s = coef.T
+    b = np.hypot(c, s)
+    failed = singular | (b == 0.0) | ~(a > 0.0)
+    failures = {
+        row: ("fit design is singular: the phases do not determine a cosine "
+              "(fewer than three distinct phases modulo 2 pi)" if singular[row]
+              else "fitted amplitude is exactly zero: the phase is undefined" if b[row] == 0.0
+              else f"fitted mean level must be positive, got {float(a[row])!r}")
+        for row in np.flatnonzero(failed).tolist()
+    }
+    coef[failed] = np.nan
+    return coef, failures
+
+
+def random_cosine_row(rng, n):
+    """(theta, y, sigma) of one row: spread, one-, two- or near-coincident phases, or flat."""
+    kind = rng.integers(6)
+    base = rng.uniform(-math.pi, math.pi)
+    if kind == 0:
+        theta = rng.uniform(-math.pi, math.pi, n)
+    elif kind == 1:
+        theta = np.full(n, base)
+    elif kind == 2:
+        theta = np.where(rng.random(n) < 0.5, base, base + rng.uniform(0.1, 3.0))
+    elif kind == 3:  # phases 1e-9 apart: rank 1 or 2 to working precision
+        theta = base + 1e-9 * rng.integers(0, 3, n)
+    elif kind == 4:  # two phases 1e-9 apart and a third
+        theta = np.where(rng.random(n) < 0.7, base + 1e-9 * rng.integers(0, 2, n), base + 2.0)
+    else:
+        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False) + base
+    if kind == 5 or rng.random() < 0.2:
+        y = np.full(n, float(rng.choice([1.0, 5.0, 500.0])))
+    else:
+        y = rng.uniform(-5.0, 3.0) + rng.uniform(0.0, 4.0) * np.cos(theta + base) \
+            + rng.normal(0.0, 0.5, n)
+    weight = 10.0 ** rng.uniform(-150.0, 150.0)  # w = sigma**-2 from 1e-150 to 1e150
+    sigma = rng.uniform(0.5, 2.0, n) / math.sqrt(weight)
+    if rng.random() < 0.3:
+        sigma = np.full(n, sigma[0])
+    return theta, y, sigma
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-phases", "shared-phases"])
+@pytest.mark.parametrize("seed", range(40))
+def test_the_rank_certificate_decides_as_matrix_rank_does(seed, shared):
+    # The closed-form certificate clears a row only where matrix_rank finds rank 3, so
+    # every coefficient (NaN where a row failed) and every failure is the reference's.
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([4, 8, 12, 16, 117]))
+    theta, y, sigma = (np.array(column) for column in
+                       zip(*(random_cosine_row(rng, n) for _ in range(int(rng.integers(1, 30))))))
+    if shared:  # one phase row for the stack, as the bootstrap fits it
+        theta = theta[0]
+    fits = _fit_cosines(theta, y, sigma)
+    coef, failures = reference_fit_cosines(theta, y, sigma)
+    assert np.array_equal(fits.coef, coef, equal_nan=True)
+    assert fits.failures == failures
+
+
+def spy_matrix_rank(monkeypatch) -> list:
+    """The list of matrices that ``np.linalg.matrix_rank`` will be called on, copied."""
+    ranked, rank = [], np.linalg.matrix_rank
+
+    def spy(m, *args, **kwargs):
+        ranked.append(m.copy())
+        return rank(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", spy)
+    return ranked
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_no_preset_table_needs_matrix_rank(monkeypatch, name):
+    # Every fit of the three routes and the bootstrap, at the preset counts and down to
+    # 3 counts per point, is cleared by the certificate alone.
+    ranked = spy_matrix_rank(monkeypatch)
+    rc = load_preset(name)
+    for counts_scale in (8600.0, 300.0, 30.0, 3.0):
+        recs = simulate_scan(rc.beamline, replace(rc.plan, counts_scale=counts_scale))
+        analyze_records(rc.beamline, recs, rc.settings)
+        bootstrap_uncertainty(rc.beamline, recs, rc.settings, resamples=200, seed=0)
+    assert ranked == []
+
+
+def test_only_the_doubtful_row_goes_to_matrix_rank(monkeypatch):
+    # Phases 1e-5 apart leave rank 3 with det(normal / trace) ~ 6e-13, under the
+    # certificate's 1e-10; 1e-9 apart leave rank 2.  Either row alone is ranked.
+    even = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    for gap, failed in ((1e-5, set()), (1e-9, {2})):
+        close = np.concatenate([np.full(6, 0.3), np.full(5, 0.3 + gap), np.full(5, 2.0)])
+        theta = np.stack([even, even, close, even])
+        y = 50.0 + 10.0 * np.cos(theta + 0.4)
+        sigma = np.sqrt(y)
+        coef, failures = reference_fit_cosines(theta, y, sigma)
+        with monkeypatch.context() as patch:
+            ranked = spy_matrix_rank(patch)
+            fits = _fit_cosines(theta, y, sigma)
+        assert np.array_equal(fits.coef, coef, equal_nan=True) and fits.failures == failures
+        assert set(failures) == set(failed)
+        assert len(ranked) == 1 and ranked[0].shape == (1, 3, 3)
+        basis = np.stack([np.ones(16), np.cos(close), np.sin(close)], axis=-1)
+        np.testing.assert_allclose(ranked[0][0], (basis.T / y[2]) @ basis, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,8 @@ def test_every_record_list_that_constructs_round_trips_through_the_csv(tmp_path,
 
 # Two plan offsets whose mm text is the same: each is written as 5.0000000000000231.
 SAME_TEXT = (0.005000000000000023, math.nextafter(0.005000000000000023, 1.0))
+# Off the plan, written as 4.6349999999999998 mm, which parses back to 0.004634999999999999.
+OFF_PLAN = 0.004635
 REFUSAL_PLAN = ScanPlan(currents=(-0.9, 0.0), offsets=(0.0,) + SAME_TEXT)
 
 
@@ -407,16 +409,30 @@ def write_unchecked(path, records, plan):
     _sidecar_path(path).write_text(json.dumps({"plan": asdict(plan)}))
 
 
+def moved_record(path, records, table) -> str | None:
+    """The writer's refusal of the first record that ``table`` reads back at another
+    coordinate; ``table`` holds one record per record with counts, in their order."""
+    lineno = 2
+    for rec, back in zip([rec for rec in records if rec.counts], table.records):
+        if back.coord != rec.coord:
+            return (f"ConfigError: {path}:{lineno}: coordinate {rec.coord!r}, written as "
+                    f"delta_mm {_fmt(rec.coord * 1e3)}, would read back as {back.coord!r}")
+        lineno += len(rec.counts)
+    return None
+
+
 @FUZZ
 @given(records=st.lists(st.builds(
     CountsRecord,
     current=st.sampled_from([-0.9, 0.0, -0.0, math.nan, -math.inf]),
-    coord=st.sampled_from((0.0, math.inf) + SAME_TEXT),
+    coord=st.sampled_from((0.0, math.inf, OFF_PLAN) + SAME_TEXT),
     counts=st.lists(st.integers(0, 9), max_size=3).map(tuple)), max_size=4))
 def test_the_writer_refuses_every_record_list_whose_table_the_reader_refuses(tmp_path, records):
     # Laid out unchecked, the table either reads back or the line-by-line reader refuses it.
-    # write_counts_csv refuses the second kind with that reader's message and writes no file;
-    # it writes the first kind byte for byte, unless a record has no counts (and so no rows).
+    # write_counts_csv refuses the second kind with that reader's message and writes no file.
+    # It writes the first kind byte for byte, unless a record has no counts (and so no rows)
+    # or reads back at another coordinate than its own (off the plan, or the first offset of
+    # SAME_TEXT, which reads back as the second).
     unchecked, path = tmp_path / "unchecked.csv", tmp_path / "counts.csv"
     write_unchecked(unchecked, records, REFUSAL_PLAN)
     expected = read_outcome(reference_read_counts_csv, unchecked).replace(str(unchecked), str(path))
@@ -433,9 +449,10 @@ def test_the_writer_refuses_every_record_list_whose_table_the_reader_refuses(tmp
         refused = None
     if expected.startswith("ConfigError: "):
         assert refused == expected
-    elif refused is not None:
+    elif not all(rec.counts for rec in records):
         assert refused == f"ConfigError: {path}: a record with no counts writes no rows"
-        assert not all(rec.counts for rec in records)
+    else:
+        assert refused == moved_record(path, records, reference_read_counts_csv(unchecked))
 
 
 @FUZZ

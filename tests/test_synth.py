@@ -611,6 +611,32 @@ def test_writer_refuses_with_the_readers_message_before_writing(tmp_path, offset
     assert sorted(tmp_path.iterdir()) == [unchecked, unchecked.with_suffix(".meta.json")]
 
 
+@pytest.mark.parametrize("offsets, records, line, text, back", [
+    ((0.0,), [CountsRecord(-0.9, 0.0, COUNTS), CountsRecord(-0.9, 0.004635, COUNTS)],
+     6, "4.6349999999999998", 0.004634999999999999),
+    (SAME_TEXT, [CountsRecord(-0.9, SAME_TEXT[0], COUNTS)],
+     2, "5.0000000000000231", SAME_TEXT[1]),
+], ids=["off-plan", "first-of-same-mm-text"])
+def test_writer_refuses_a_record_that_reads_back_at_another_coordinate(tmp_path, offsets,
+                                                                       records, line, text, back):
+    # Written unchecked, the table reads back, but the record at ``line`` comes back at
+    # ``back``; the writer refuses it, naming the line, and writes no file.
+    plan = ScanPlan(currents=(-0.9,), offsets=offsets)
+    moved = records[-1]
+    unchecked = tmp_path / "unchecked.csv"
+    unchecked.write_text("current_A,delta_mm,channel,counts\n" + "".join(
+        f"{rec.current:.17g},{rec.coord * 1e3:.17g},{channel},{count}\n"
+        for rec in records for channel, count in enumerate(rec.counts)))
+    unchecked.with_suffix(".meta.json").write_text(json.dumps({"plan": {"offsets": offsets}}))
+    assert read_counts_csv(unchecked).records[-1] == replace(moved, coord=back) != moved
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ConfigError) as wrote:
+        write_counts_csv(path, records, plan)
+    assert str(wrote.value) == (f"{path}:{line}: coordinate {moved.coord!r}, written as "
+                                f"delta_mm {text}, would read back as {back!r}")
+    assert sorted(tmp_path.iterdir()) == [unchecked, unchecked.with_suffix(".meta.json")]
+
+
 @pytest.mark.parametrize("coord", [0.0, 0.005], ids=["same-point", "own-point"])
 def test_writer_refuses_a_record_with_no_counts_among_others(tmp_path, coord):
     # Such a record writes no rows, so the table would read back without it.

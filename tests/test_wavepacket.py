@@ -161,6 +161,33 @@ def test_stacked_maps_match_the_per_branch_formulas_bit_for_bit(name, coil_turns
         assert np.array_equal(stack, np.array(pair))
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_state_s_branch_stacks_are_read_only(name):
+    # The coil keeps its input's p and a flipper reverses its input's weights: a write into
+    # a later state's stack would change the state it came from.  Every stack refuses it.
+    rc = load_preset(name)
+    field = 0.94 * rc.beamline.coil_cal
+    source = initial_state(rc.packet)
+    stacks = ("weights", "theta", "p", "omega")
+    before = [getattr(source, stack).copy() for stack in stacks]
+    states = (source, apply_spin_phase_k(source, field),
+              pipeline_packet_state(rc.beamline, rc.packet, field))
+    for state in states:
+        for stack in stacks:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(state, stack)[..., 0] = 99
+    for stack, kept in zip(stacks, before):
+        assert np.array_equal(getattr(source, stack), kept)
+    fresh = pipeline_packet_state(rc.beamline, rc.packet, field)
+    for stack in stacks:
+        assert np.array_equal(getattr(states[-1], stack), getattr(fresh, stack))
+    # The state holds a view: the caller's own array stays writable and is not copied.
+    theta = np.zeros((2, source.k.size))
+    state = replace(source, theta=theta)
+    theta[0, 0] = 1.0
+    assert state.theta[0, 0] == 1.0 and state.theta.base is theta
+
+
 def test_spin_phase_coil_identity_at_zero_field():
     state = initial_state(SPEC)
     same = apply_spin_phase_k(state, 0.0)
