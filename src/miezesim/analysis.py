@@ -174,6 +174,8 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
     with np.errstate(over="ignore"):
         if not np.isfinite(np.sum((1.0 + np.abs(y)) / sigma / sigma)):
             raise FitError("sigma values are too small: the fit's weighted sums overflow")
+    if np.any(sigma**-2.0 == 0.0):  # the weight of an infinite sigma, which is refused above
+        raise FitError("sigma values are too large: a weight 1/sigma**2 underflows to 0")
     return theta, y, sigma
 
 

@@ -191,7 +191,7 @@ def cmd_witness(args) -> int:
     _write_json(report_path, _report_json(rc, report, table.scan_kind, seed, boot))
     points_path = out / "fit_points.csv"
     _write_csv(points_path, ["phase_rad", "intensity", "intensity_err", "model"],
-               ([_fmt(p.phase), _fmt(p.intensity), _fmt(p.sigma), _fmt(p.model)]
+               (f"{_fmt(p.phase)},{_fmt(p.intensity)},{_fmt(p.sigma)},{_fmt(p.model)}"
                 for p in report.points))
 
     w = report.witness
@@ -254,7 +254,7 @@ def cmd_envelope(args) -> int:
         })
     else:
         _write_csv(path, ["delta_mm", "contrast"],
-                   ([_fmt(delta / _MM), _fmt(contrast)] for delta, contrast in env))
+                   (f"{_fmt(delta / _MM)},{_fmt(contrast)}" for delta, contrast in env))
     peak_delta, peak = max(env, key=lambda dc: dc[1])
     print(f"wrote contrast at {len(env)} offsets to {path}")
     print(f"peak contrast {peak:.4f} at delta = {peak_delta / _MM:.4f} mm")

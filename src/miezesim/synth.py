@@ -276,11 +276,14 @@ def _write_json(path, payload, sort_keys: bool = False) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
 
 
-def _write_csv(path, header, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path, header, lines) -> None:
+    """Write a CSV table in one write: ``header``'s fields joined with ``,``, then ``lines``.
+
+    Each of ``lines`` is a data line's fields joined with ``,``; every line ends in ``\r\n``.
+    Every field the package writes is an ``_fmt`` number, an int or a fixed column name, so
+    no field ever needs quoting and the bytes are those ``csv.writer`` would write.
+    """
+    Path(path).write_text("\r\n".join([",".join(header), *lines]) + "\r\n", newline="")
 
 
 def _coord_reader(sidecar: dict | None, kind: str):
@@ -334,16 +337,19 @@ def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
     would refuse raise its ``ConfigError``; then so do records with no counts (no rows),
     and a record that would read back at another coordinate than its own: one off the
     plan whose mm text does not parse back to it, or the first of two plan offsets that
-    share an mm text.
+    share an mm text.  The lines are rendered in one pass, in the loop that keys each
+    record (its ``current,coord,`` text once, then ``channel,count`` per count), and the
+    table is written in one write once every check has passed.  No field ever needs
+    quoting: each is an ``_fmt`` number, an int or a fixed column name.
     """
     kind = plan.scan_kind
     header = ["current_A", _COORD_COLUMNS[kind], "channel", "counts"]
     payload = {"format_version": 1, "scan_kind": kind, "plan": asdict(plan), **(metadata or {})}
     coord_of, scale = _coord_reader(payload, kind), _COORD_SCALE[kind]
-    points = [(_fmt(rec.current), _fmt(rec.coord * scale), rec.counts) for rec in records]
-    # Each point is keyed as the reader keys it, at its first line.
-    grouped, lineno, moved = {}, 2, None
-    for rec, (current, coord, counts) in zip(records, points):
+    # Each point is keyed as the reader keys it, at its first line, and its lines rendered.
+    grouped, lineno, moved, lines = {}, 2, None, []
+    for rec in records:
+        current, coord, counts = _fmt(rec.current), _fmt(rec.coord * scale), rec.counts
         if counts:  # a record with no counts writes no line
             key = _finite_point(header, float(current), coord_of(coord), f"{path}:{lineno}: ")
             if moved is None and key[1] != rec.coord:
@@ -351,12 +357,13 @@ def write_counts_csv(path, records: list[CountsRecord], plan: ScanPlan,
                          f"{header[1]} {coord}, would read back as {key[1]!r}")
             grouped.setdefault(key, []).extend(enumerate(counts))
             lineno += len(counts)
-    if len(_table_points(path, grouped)) < len(points):
+            point = f"{current},{coord},"
+            lines.extend([f"{point}{channel},{count}" for channel, count in enumerate(counts)])
+    if len(_table_points(path, grouped)) < len(records):
         raise ConfigError(f"{path}: a record with no counts writes no rows")
     if moved is not None:
         raise ConfigError(moved)
-    _write_csv(path, header, ((current, coord, channel, count) for current, coord, counts
-                              in points for channel, count in enumerate(counts)))
+    _write_csv(path, header, lines)
     sidecar = _sidecar_path(path)
     _write_json(sidecar, payload, sort_keys=True)
     return sidecar

@@ -182,6 +182,52 @@ def test_fit_global_validates_points(points):
         fit_global(points)
 
 
+@pytest.mark.parametrize("huge", [slice(None), slice(0, 1)])
+def test_fit_global_names_a_sigma_whose_weight_underflows(huge):
+    # A weight of 0 is an infinite sigma's; on well-spread phases the design is not singular.
+    points = np.array(cosine_points(10.0, 3.0, 0.3, n=8))
+    points[huge, 2] = 1e200
+    with pytest.raises(FitError, match=re.escape(
+            "sigma values are too large: a weight 1/sigma**2 underflows to 0")):
+        fit_global(points)
+
+
+def test_fit_result_rejects_bad_fields():
+    good = dict(mean_level=1.0, amplitude=0.5, phase=0.1, covariance=np.eye(3),
+                chi_square=2.0, dof=3)
+    analysis.FitResult(**good)
+    for field, value, message in [
+        ("mean_level", 0.0, "fitted mean level must be positive, got 0.0"),
+        ("mean_level", math.inf, "fitted mean level must be positive, got inf"),
+        ("amplitude", -0.5, "fitted amplitude must be non-negative, got -0.5"),
+        ("amplitude", math.nan, "fitted amplitude must be non-negative, got nan"),
+        ("phase", math.inf, "fitted phase must be finite, got inf"),
+        ("covariance", np.eye(2), "covariance must be a finite 3x3 matrix"),
+        ("covariance", np.full((3, 3), math.nan), "covariance must be a finite 3x3 matrix"),
+        ("chi_square", -1.0, "chi-square must be non-negative, got -1.0"),
+        ("chi_square", math.inf, "chi-square must be non-negative, got inf"),
+        ("dof", -1, "degrees of freedom must be >= 0, got -1"),
+    ]:
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            analysis.FitResult(**{**good, field: value})
+
+
+def test_witness_result_rejects_bad_fields():
+    good = dict(e_matrix=np.eye(2), e_sigma=np.zeros((2, 2)), s=2.0, sigma_s=0.1,
+                classification="classical")
+    analysis.WitnessResult(**good)
+    for field, value, message in [
+        ("e_matrix", np.eye(3), "e_matrix must be a finite 2x2 matrix"),
+        ("e_matrix", np.full((2, 2), math.inf), "e_matrix must be a finite 2x2 matrix"),
+        ("e_sigma", [[0.0, math.nan], [0.0, 0.0]], "e_sigma must be a finite 2x2 matrix"),
+        ("s", math.nan, "S must be finite, got nan"),
+        ("sigma_s", -0.1, "sigma_S must be non-negative, got -0.1"),
+        ("sigma_s", math.inf, "sigma_S must be non-negative, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analysis.WitnessResult(**{**good, field: value})
+
+
 def test_fit_with_tiny_uniform_sigma_matches_unit_sigma():
     # w = 1e300 is still in range; uniform weights leave A and B as at sigma = 1.
     want = fit_global(cosine_points(10.0, 3.0, 0.3, n=8))
@@ -421,6 +467,16 @@ def test_only_the_doubtful_row_goes_to_matrix_rank(monkeypatch):
         assert len(ranked) == 1 and ranked[0].shape == (1, 3, 3)
         basis = np.stack([np.ones(16), np.cos(close), np.sin(close)], axis=-1)
         np.testing.assert_allclose(ranked[0][0], (basis.T / y[2]) @ basis, rtol=1e-12)
+
+
+def test_a_row_with_no_weight_is_singular_in_the_engine():
+    # fit_global refuses weights that underflow to 0; the engine itself floors such a
+    # row's trace, so it is ranked (as singular) and not divided by 0.
+    theta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    y = np.stack([10.0 + 3.0 * np.cos(theta + 0.3)] * 2)
+    fits = _fit_cosines(theta, y, np.array([[1.0], [1e200]]) * np.ones(8))
+    assert set(fits.failures) == {1} and "fit design is singular" in fits.failures[1]
+    assert np.isfinite(fits.coef[0]).all() and np.isnan(fits.coef[1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from miezesim import (
     spin_phase,
 )
 from miezesim.beamline import _scan_phases, channel_phase
+from miezesim.constants import CODATA2018
 
 # Independent oracle constants (CODATA-2018 literals, not imported from the package)
 NEUTRON_MASS = 1.67492749804e-27
@@ -70,6 +71,43 @@ def test_config_validation():
         replace(CFG, f1=50e3, f2=45e3)
     with pytest.raises(PhysicsError):
         replace(CFG, f2=45e3)  # equal frequencies have no beat
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("polarizer_eff", 0.0, "polarizer_eff must be in (0, 1], got 0.0"),
+    ("polarizer_eff", 1.5, "polarizer_eff must be in (0, 1], got 1.5"),
+    ("polarizer_eff", math.nan, "polarizer_eff must be in (0, 1], got nan"),
+    ("coil_cal", math.inf, "coil_cal must be finite, got inf"),
+    ("coil_cal", math.nan, "coil_cal must be finite, got nan"),
+    ("guide_bl", -math.inf, "guide_bl must be finite, got -inf"),
+])
+def test_config_names_a_bad_polarizer_efficiency_or_field_integral(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(CFG, **{field: value})
+
+
+def test_current_for_spin_phase_needs_a_coil_calibration():
+    with pytest.raises(PhysicsError,
+                       match="^coil_cal is zero; no current can set the spin phase$"):
+        current_for_spin_phase(replace(CFG, coil_cal=0.0), 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_focusing_distance_and_ideal_intensity_reject_non_finite_inputs(value):
+    with pytest.raises(ValueError, match=f"^field integral must be finite, got {value!r}$"):
+        focusing_distance(CFG, value)
+    for name in ("alpha", "gamma", "t"):
+        args = {"alpha": 0.1, "gamma": 0.2, "t": 1e-5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            ideal_intensity(CFG, **args)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -1e-9, math.inf, math.nan])
+def test_constants_reject_a_bad_wavelength(wavelength):
+    message = f"^wavelength must be positive and finite, got {wavelength!r}$"
+    for method in (CODATA2018.velocity, CODATA2018.wavenumber):
+        with pytest.raises(ValueError, match=message):
+            method(wavelength)
 
 
 def test_mieze_frequency_values():

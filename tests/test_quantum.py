@@ -307,6 +307,35 @@ def test_state_validation():
         product_state([0, 0], [1, 0])
 
 
+@pytest.mark.parametrize("amplitudes", [[math.nan, 0.0, 0.0, 0.0],
+                                        [0.0, 0.0, complex(0.0, math.inf), 0.0]])
+def test_state_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        SpinEnergyState(amplitudes)
+
+
+def test_zero_state_does_not_normalize():
+    with pytest.raises(ValueError, match="^cannot normalize the zero state$"):
+        SpinEnergyState(np.zeros(4)).normalized()
+
+
+def test_equals_up_to_phase_compares_norms_first():
+    zero, tiny = SpinEnergyState(np.zeros(4)), SpinEnergyState([1e-12, 0.0, 0.0, 0.0])
+    half = SpinEnergyState(0.5 * bell_state(0.3).amplitudes)
+    # Norms further apart than tol: not equal, whatever the overlap.
+    assert not bell_state(0.3).equals_up_to_phase(half)
+    assert not tiny.equals_up_to_phase(zero, tol=1e-13)
+    # Both norms below tol: equal, although the overlap is 0.
+    assert tiny.equals_up_to_phase(zero)
+    assert zero.equals_up_to_phase(SpinEnergyState([0.0, 0.0, 0.0, 1e-12]))
+
+
+@pytest.mark.parametrize("spin, energy", [([1, 0, 0], [1, 0]), ([1, 0], [[1, 0]]), (1, [1, 0])])
+def test_product_state_rejects_parts_that_are_not_2_vectors(spin, energy):
+    with pytest.raises(ValueError, match="^spin and energy parts must each have 2 amplitudes$"):
+        product_state(spin, energy)
+
+
 def test_density_matrix_is_projector_for_pure_state():
     rho = bell_state(0.2).density_matrix()
     assert np.allclose(rho, rho.conj().T, atol=1e-12)

@@ -1,6 +1,8 @@
 """Synthetic counting experiment: scan plans, sampling, normalization, CSV."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -108,6 +110,14 @@ def model_means(cfg, plan, current, coord):
 def test_plan_validation(kwargs):
     with pytest.raises(ConfigError):
         ScanPlan(**kwargs)
+
+
+@pytest.mark.parametrize("axis", ["currents", "offsets", "detunings"])
+def test_plan_names_an_axis_that_is_no_sequence_of_numbers(axis):
+    with pytest.raises(ConfigError, match=f"^{axis} must be a sequence of numbers$"):
+        ScanPlan(**{"currents": (-0.94,), axis: ["a"]})
+    with pytest.raises(ConfigError, match=f"^{axis} must be a sequence of numbers$"):
+        ScanPlan(**{"currents": (-0.94,), axis: 1.0})
 
 
 def test_plan_at_a_largest_mean_of_2_to_the_52_round_trips(tmp_path):
@@ -851,3 +861,79 @@ def test_preset_wavepacket_bytes_are_pinned(tmp_path, capsys, name):
     assert main(["envelope", "--preset", name, "--out", str(tmp_path), "--format", "csv"]) == 0
     envelope = (tmp_path / "envelope.csv").read_bytes()
     assert hashlib.sha256(envelope).hexdigest() == envelope_sha
+
+
+# Every CSV the package writes is compared, byte for byte, with what csv.writer makes
+# of the same fields: numbers as format(x, ".17g"), ints as they are, \r\n line ends.
+def csv_writer_bytes(header, rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def g17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def counts_reference(records, plan) -> bytes:
+    kind = plan.scan_kind
+    column, scale = {"offset": ("delta_mm", 1e3), "detuning": ("detuning_rad_per_s", 1.0)}[kind]
+    return csv_writer_bytes(["current_A", column, "channel", "counts"],
+                            ([g17(rec.current), g17(rec.coord * scale), channel, count]
+                             for rec in records for channel, count in enumerate(rec.counts)))
+
+
+@pytest.mark.parametrize("model", ["ideal", "wavepacket", "detuning"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_counts_tables_have_the_bytes_of_csv_writer(tmp_path, name, model):
+    rc = load_preset(name)
+    plan = rc.plan
+    if model == "detuning":
+        plan = replace(plan, detunings=(-3000.0, -1500.0, 0.0, 1500.0, 3000.0))
+    records = simulate_scan(rc.beamline, plan,
+                            intensity_model="ideal" if model == "detuning" else model,
+                            packet_spec=rc.packet)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(path, records, plan)
+    assert path.read_bytes() == counts_reference(records, plan)
+
+
+@pytest.mark.parametrize("kind", ["offsets", "detunings"])
+def test_edge_values_have_the_bytes_of_csv_writer_and_read_back(tmp_path, kind):
+    coords = (-1.2345678901234567e-300, 5e-324, 9.8765432109876543e299, -1e300)
+    plan = ScanPlan(currents=(-0.0, 1e-300, -1e300), **{kind: coords})
+    counts = [(0, 2**53, 1, 7), (2**53, 2**53 - 1, 0, 3)]
+    records = [CountsRecord(current, coord, counts[i % 2])
+               for i, (current, coord) in enumerate(
+                   (current, coord) for current in plan.currents for coord in plan.coords)]
+    path = tmp_path / "edge.csv"
+    write_counts_csv(path, records, plan)
+    text = path.read_bytes()
+    assert text == counts_reference(records, plan)
+    assert text.startswith(b"current_A,") and b"\r\n-0," in text and b",9007199254740992\r\n" in text
+    table = read_counts_csv(path)
+    assert [(r.current, r.coord, r.counts) for r in table.records] == [
+        (r.current, r.coord, r.counts) for r in records]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cli_tables_have_the_bytes_of_csv_writer(tmp_path, name):
+    from miezesim import analyze_records
+
+    sim, wit, env = tmp_path / "sim", tmp_path / "wit", tmp_path / "env"
+    assert main(["simulate", "--preset", name, "--out", str(sim)]) == 0
+    assert main(["witness", "--counts", str(sim / "counts.csv"), "--out", str(wit)]) == 0
+    assert main(["envelope", "--preset", name, "--out", str(env)]) == 0
+    rc = load_preset(name)
+    table = read_counts_csv(sim / "counts.csv")
+    report = analyze_records(rc.beamline, table.records, rc.settings, scan_kind=table.scan_kind)
+    assert (wit / "fit_points.csv").read_bytes() == csv_writer_bytes(
+        ["phase_rad", "intensity", "intensity_err", "model"],
+        ([g17(p.phase), g17(p.intensity), g17(p.sigma), g17(p.model)] for p in report.points))
+    deltas = sorted(set(rc.plan.offsets) | {0.0})
+    assert (env / "envelope.csv").read_bytes() == csv_writer_bytes(
+        ["delta_mm", "contrast"],
+        ([g17(delta / 1e-3), g17(contrast)]
+         for delta, contrast in contrast_envelope(rc.beamline, rc.packet, deltas)))

@@ -619,6 +619,27 @@ def test_stationary_peaks_reject_a_non_finite_time():
             stationary_peak_positions(state, t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_packet_maps_reject_non_finite_arguments(bad):
+    source = initial_state(SPEC)
+    with pytest.raises(ValueError, match=f"^field integral must be finite, got {bad!r}$"):
+        apply_spin_phase_k(source, bad)
+    with pytest.raises(ValueError, match=f"^z_flipper must be finite, got {bad!r}$"):
+        apply_rf_flipper(source, CFG.omega1, bad)
+    state = pipeline_packet_state(CFG, SPEC)
+    t = (CFG.l1 + focusing_distance(CFG)) / CFG.velocity
+    with pytest.raises(ValueError, match="^spin projection angle must be finite$"):
+        detected_intensity(state, CFG.l1, t, spin_projection=bad)
+    with pytest.raises(ValueError, match=f"^phase must be finite, got {bad!r}$"):
+        coherence_check(bad, SPEC)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_rf_flipper_needs_a_positive_frequency(omega):
+    with pytest.raises(ValueError, match=f"^omega must be positive, got {omega!r}$"):
+        apply_rf_flipper(initial_state(SPEC), omega, 0.0)
+
+
 def test_multi_dimensional_z_is_rejected_before_any_quadrature(monkeypatch):
     state = pipeline_packet_state(CFG, SPEC)
     focus = CFG.l1 + focusing_distance(CFG)
