@@ -1,14 +1,15 @@
 """Fitting and witness extraction from counts data.
 
-The analysis chain mirrors how beamline data are reduced:
+``analyze_records`` reduces a counts table as beamline data are reduced:
 
-1. ``fit_time_series`` fits one scan point's time channels with
-   ``A + B cos(w_m t + phi)`` (Poisson weights).
-2. ``fit_global`` fits intensity versus the combined phase ``alpha + gamma``
-   across scan points with ``A + B cos(theta + phi0)``.
-3. ``expectation_grid`` turns a fit into the four spin-energy correlations
-   ``E(alpha_i, gamma_j) = C cos(alpha_i + gamma_j + phi0)``.
-4. ``witness`` sums them into ``S = E11 + E12 + E21 - E22`` and classifies.
+1. ``_Scan`` validates the records once and gives each time channel at each
+   point its cell phase ``theta = alpha + w_m t + gamma``.
+2. ``fit_global`` fits one channel's counts over theta with ``A + B cos(theta
+   + phi0)``, weighted by sigma = sqrt(max(counts, 1)) (Neyman's chi-square).
+3. ``witness_from_fit`` forms ``E(alpha_i, gamma_j) = C cos(alpha_i + gamma_j
+   + phi0)`` and propagates the fit's full covariance to sigma_S.
+4. One tail, shared by every route, sums ``S = E11 + E12 + E21 - E22`` with
+   ``quantum``'s one sign matrix and classifies it.
 
 Three independent witness routes are reported side by side rather than
 collapsed: the primary global-fit route (``analyze_records`` /
@@ -36,9 +37,8 @@ its normal matrix is singular to working precision (too few distinct phases),
 its amplitude is exactly zero (no phase) or its mean level is not positive;
 flat data fail this way only where the solve is exact (see ``_fit_cosines``).
 One-row fits and the per-point route raise the first failure as ``FitError``;
-the bootstrap counts failed resamples and drops them.  ``analyze_records``
-validates the records once and hands that scan to all three routes.  Counts
-need no check there: a ``CountsRecord`` holds integers in [0, 2**53] only.
+the bootstrap counts failed resamples and drops them.  All three routes read
+one ``_Scan``; it checks no count: a ``CountsRecord`` holds integers in [0, 2**53].
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ import numpy as np
 from .beamline import BeamlineConfig, _scan_phases
 from .errors import ConfigError, DegenerateDataError, DiagnosticError, FitError, integer_in_range
 from .quantum import (
+    _CHSH_SIGNS,
+    TSIRELSON_BOUND,
     WitnessSettings,
     classify,
     expectation_from_counts,
@@ -80,7 +82,6 @@ __all__ = [
     "bootstrap_uncertainty",
 ]
 
-_SIGN_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]])
 _TINY = np.finfo(float).tiny
 
 
@@ -174,8 +175,9 @@ def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
     with np.errstate(over="ignore"):
         if not np.isfinite(np.sum((1.0 + np.abs(y)) / sigma / sigma)):
             raise FitError("sigma values are too small: the fit's weighted sums overflow")
-    if np.any(sigma**-2.0 == 0.0):  # the weight of an infinite sigma, which is refused above
-        raise FitError("sigma values are too large: a weight 1/sigma**2 underflows to 0")
+    if np.any(sigma**-2.0 < _TINY):  # a subnormal weight's inv(X^T W X) can overflow
+        raise FitError("sigma values are too large: a weight 1/sigma**2 underflows to 0 "
+                       "or to a subnormal")
     return theta, y, sigma
 
 
@@ -358,17 +360,10 @@ def witness(e_matrix, sigma_matrix=None) -> WitnessResult:
     e = np.asarray(e_matrix, dtype=float)
     if e.shape != (2, 2) or not np.all(np.isfinite(e)):
         raise ValueError("expected a finite 2x2 matrix of correlations")
-    if sigma_matrix is None:
-        sig = np.zeros((2, 2))
-    else:
-        sig = np.asarray(sigma_matrix, dtype=float)
-        if sig.shape != (2, 2) or not np.all(np.isfinite(sig)) or np.any(sig < 0):
-            raise ValueError("sigma matrix must be finite, non-negative and 2x2")
-    s = float(np.sum(_SIGN_MATRIX * e))
-    sigma_s = float(np.sqrt(np.sum(sig**2)))
-    return WitnessResult(
-        e_matrix=e, e_sigma=sig, s=s, sigma_s=sigma_s, classification=classify(s)
-    )
+    sig = np.zeros((2, 2)) if sigma_matrix is None else np.asarray(sigma_matrix, dtype=float)
+    if sig.shape != (2, 2) or not np.all(np.isfinite(sig)) or np.any(sig < 0):
+        raise ValueError("sigma matrix must be finite, non-negative and 2x2")
+    return _witness_result(e, sig, float(np.sqrt(np.sum(sig**2))))
 
 
 def witness_from_fit(fit: FitResult, settings: WitnessSettings) -> WitnessResult:
@@ -378,23 +373,21 @@ def witness_from_fit(fit: FitResult, settings: WitnessSettings) -> WitnessResult
     correlations the four E values inherit from sharing (A, B, phi0).
     """
     e, grads, sig = _expectation_gradients(fit, settings)
-    s = float(np.sum(_SIGN_MATRIX * e))
-    grad_s = np.tensordot(_SIGN_MATRIX, grads, axes=([0, 1], [0, 1]))
-    var_s = float(grad_s @ fit.covariance @ grad_s)
-    return WitnessResult(
-        e_matrix=e,
-        e_sigma=sig,
-        s=s,
-        sigma_s=math.sqrt(max(var_s, 0.0)),
-        classification=classify(s),
-    )
+    grad_s = np.tensordot(_CHSH_SIGNS, grads, axes=([0, 1], [0, 1]))
+    return _witness_result(e, sig, math.sqrt(max(float(grad_s @ fit.covariance @ grad_s), 0.0)))
+
+
+def _witness_result(e: Array, sig: Array, sigma_s: float) -> WitnessResult:
+    """The one tail of every route: S = sum sign_ij E_ij, its verdict and the result."""
+    s = float(np.sum(_CHSH_SIGNS * e))
+    return WitnessResult(e, sig, s, sigma_s, classify(s))
 
 
 def witness_from_contrast(contrast: float) -> float:
     """Expected witness 2*sqrt(2)*C for a maximally entangled state at contrast C."""
     if not (0.0 <= contrast <= 1.0):
         raise ValueError(f"contrast must be in [0, 1], got {contrast!r}")
-    return 2.0 * math.sqrt(2.0) * contrast
+    return TSIRELSON_BOUND * contrast
 
 
 class _Scan:
@@ -621,7 +614,7 @@ def bootstrap_uncertainty(cfg: BeamlineConfig, records, settings: WitnessSetting
     # B cos(x + phi) = c cos x + s sin x: no (A, B, phi) or covariance needed.
     a, c, s = np.delete(solved.coef, list(solved.failures), axis=0).T
     x = np.add.outer((settings.alpha1, settings.alpha2), (settings.gamma1, settings.gamma2))
-    s_values = (c * np.sum(_SIGN_MATRIX * np.cos(x)) + s * np.sum(_SIGN_MATRIX * np.sin(x))) / a
+    s_values = (c * np.sum(_CHSH_SIGNS * np.cos(x)) + s * np.sum(_CHSH_SIGNS * np.sin(x))) / a
     return BootstrapResult(
         sigma_s=float(np.std(s_values, ddof=1)),
         resamples=resamples,

@@ -55,6 +55,7 @@ __all__ = [
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # S = sum sign_ij E(alpha_i, gamma_j)
 
 _NORM_TOL = 1e-9
 
@@ -241,8 +242,8 @@ def chsh_value(state: SpinEnergyState, settings: WitnessSettings) -> float:
     a1, a2, g1, g2 = map(_check_angle, (settings.alpha1, settings.alpha2,
                                         settings.gamma1, settings.gamma2))
     p03, p12 = _pair_products(state)
-    return (_expectation(p03, p12, a1, g1) + _expectation(p03, p12, a1, g2)
-            + _expectation(p03, p12, a2, g1) - _expectation(p03, p12, a2, g2))
+    e = [[_expectation(p03, p12, a, g) for g in (g1, g2)] for a in (a1, a2)]
+    return float(np.sum(_CHSH_SIGNS * e))
 
 
 def classify(s_value: float) -> str:

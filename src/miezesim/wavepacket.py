@@ -321,11 +321,10 @@ def _direct_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array:
     """sum_k weights e^{i(offset + slope u)} at each u, one phasor row per plane.
 
     ``offset`` and ``slope`` are (K,), which gives (Z,), or a (B, K) stack,
-    which gives (B, Z) one row at a time; ``weights`` broadcasts against them.
+    which gives (B, Z) one row at a time, each against the one (K,) ``weights``.
     """
     if np.ndim(slope) == 2:
-        return np.array([_direct_sum(*row, u) for row in
-                         zip(np.broadcast_to(weights, np.shape(slope)), offset, slope)])
+        return np.array([_direct_sum(weights, *row, u) for row in zip(offset, slope)])
     # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
     return np.einsum("zk,k->z", _phasors(u, slope, offset), weights)
 
@@ -349,16 +348,12 @@ def _bessel_orders(a: Array, degree: int) -> Array:
     tiny = np.abs(a) < 1e-9
     two_over_a = 2.0 / np.where(tiny, 1.0, a)
     top = degree + _MILLER_START
-    out = np.empty((degree + 1, a.size))
-    spill = np.empty((3, a.size))  # the orders above the degree, at order mod 3
-    # J_{n+1} and J_n, up to a factor that each rescale changes
-    above, here = spill[(top + 1) % 3], spill[top % 3]
-    above[:] = 0.0
-    here[:] = 1.0
+    table = np.empty((top + 2, a.size))  # J_0 ... J_{top+1}, up to the rescales' factors
+    table[top + 1], table[top] = 0.0, 1.0
     evens = np.zeros(a.size)  # the even orders >= 2 computed so far, summed
     rescales = []  # (order, factor): that order and every lower one carry the factor
     for n in range(top, 0, -1):
-        below = out[n - 1] if n - 1 <= degree else spill[(n - 1) % 3]
+        above, here, below = table[n + 1], table[n], table[n - 1]
         np.multiply(two_over_a, here, out=below)
         below *= n
         below -= above
@@ -370,7 +365,7 @@ def _bessel_orders(a: Array, degree: int) -> Array:
             rescales.append((n, factor))
         if n % 2 and n > 1:
             evens += below
-        above, here = here, below
+    out = table[:degree + 1]
     # each order takes the factors of the rescales below it, and 1 / (J_0 + 2 sum J_2m)
     scale = 1.0 / (out[0] + 2.0 * evens)
     start = 0
@@ -380,8 +375,7 @@ def _bessel_orders(a: Array, degree: int) -> Array:
         start = order + 1
     out[start:] *= scale
     out[:, tiny] = 0.0
-    out[0, tiny] = 1.0
-    out[1, tiny] = a[tiny] / 2.0
+    out[0, tiny], out[1, tiny] = 1.0, a[tiny] / 2.0
     return out
 
 

@@ -18,10 +18,12 @@ from miezesim import (
     FitError,
     PRESETS,
     ScanPlan,
+    SpinEnergyState,
     WitnessSettings,
     analyze_records,
     bootstrap_uncertainty,
     channel_fits_witness,
+    chsh_value,
     classify,
     counts_witness,
     current_for_spin_phase,
@@ -31,6 +33,7 @@ from miezesim import (
     expected_channel_means,
     fit_global,
     fit_time_series,
+    joint_expectation,
     load_preset,
     mieze_frequency,
     offset_for_energy_phase,
@@ -189,6 +192,18 @@ def test_fit_global_names_a_sigma_whose_weight_underflows(huge):
     points[huge, 2] = 1e200
     with pytest.raises(FitError, match=re.escape(
             "sigma values are too large: a weight 1/sigma**2 underflows to 0")):
+        fit_global(points)
+
+
+@pytest.mark.parametrize("sigma", [1e155, 1e158, 1e161])
+@pytest.mark.parametrize("huge", [slice(None), slice(0, 1)])
+def test_fit_global_names_a_sigma_whose_weight_is_subnormal(huge, sigma):
+    # sigma**-2 is below the smallest normal double but not 0: inv(X^T W X) would overflow.
+    points = np.array(cosine_points(10.0, 3.0, 0.3, n=8))
+    points[huge, 2] = sigma
+    with pytest.raises(FitError, match="^" + re.escape(
+            "sigma values are too large: a weight 1/sigma**2 underflows to 0 "
+            "or to a subnormal") + "$"):
         fit_global(points)
 
 
@@ -557,6 +572,42 @@ def test_witness_from_fit_uses_shared_covariance():
     naive = witness(e, sig)
     assert math.isclose(full.s, naive.s, rel_tol=1e-12)
     assert not math.isclose(full.sigma_s, naive.sigma_s, rel_tol=1e-3)
+
+
+CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # S = E11 + E12 + E21 - E22
+
+
+@pytest.mark.parametrize("kind", ["offset", "detuning"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_route_forms_s_and_its_verdict_from_its_own_correlations(name, kind):
+    rc = load_preset(name)
+    plan = rc.plan if kind == "offset" else replace(
+        rc.plan, detunings=(-3000.0, -1500.0, 1500.0, 3000.0))
+    recs = simulate_scan(rc.beamline, plan)
+    report = analyze_records(rc.beamline, recs, rc.settings, scan_kind=kind)
+    routes = [report.witness, report.channel_witness,
+              channel_fits_witness(rc.beamline, recs, rc.settings, scan_kind=kind)[0]]
+    if kind == "offset":
+        routes += [report.count_witness, counts_witness(rc.beamline, recs, rc.settings)]
+    else:
+        assert report.count_witness is None
+    for result in routes:
+        assert result.s == float(np.sum(CHSH_SIGNS * result.e_matrix))
+        assert result.classification == classify(result.s)
+
+
+def test_chsh_value_is_the_signed_sum_of_the_joint_expectations():
+    # == takes -0.0 and 0.0 as equal: an exact 0 is the one S whose sign bit may differ.
+    rng = np.random.default_rng(20261020)
+    for _ in range(2000):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = SpinEnergyState(raw / np.linalg.norm(raw))
+        settings = WitnessSettings(*rng.uniform(-20.0, 20.0, 4))
+        e = [[joint_expectation(state, alpha, gamma) for gamma in (settings.gamma1,
+                                                                   settings.gamma2)]
+             for alpha in (settings.alpha1, settings.alpha2)]
+        assert chsh_value(state, settings) == float(np.sum(CHSH_SIGNS * e))
+        assert chsh_value(state, settings) == e[0][0] + e[0][1] + e[1][0] - e[1][1]
 
 
 # ---------------------------------------------------------------------------
