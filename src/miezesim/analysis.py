@@ -161,26 +161,6 @@ class WitnessResult:
             raise ValueError(f"sigma_S must be non-negative, got {self.sigma_s!r}")
 
 
-def _validate_xy(theta, y, sigma) -> tuple[Array, Array, Array]:
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if theta.ndim != 1 or theta.shape != y.shape or theta.shape != sigma.shape:
-        raise FitError("phase, intensity and sigma arrays must be 1-d and equal length")
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(y))):
-        raise FitError("phase and intensity values must be finite")
-    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
-        raise FitError("sigma values must be positive and finite")
-    # The normal equations sum w and w y with w = sigma**-2: neither may overflow.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.sum((1.0 + np.abs(y)) / sigma / sigma)):
-            raise FitError("sigma values are too small: the fit's weighted sums overflow")
-    if np.any(sigma**-2.0 < _TINY):  # a subnormal weight's inv(X^T W X) can overflow
-        raise FitError("sigma values are too large: a weight 1/sigma**2 underflows to 0 "
-                       "or to a subnormal")
-    return theta, y, sigma
-
-
 def _polar_fit(coef: Array, covariance: Array, chi_square: float, dof: int) -> FitResult:
     """(A, c, s) and covariance as the ``FitResult`` of (A, B, phi), c = B cos phi, s = -B sin phi.
 
@@ -296,11 +276,21 @@ def _fit_channels(counts: Array, theta: Array) -> _CosineFits:
     return fits
 
 
-def _fit_points(theta, y, sigma) -> FitResult:
-    """``fit_global`` on (phase, intensity, sigma) columns."""
+def _fit_points(theta: Array, y: Array, sigma: Array) -> FitResult:
+    """``fit_global`` on (phase, intensity, sigma) columns, 1-d float arrays of one length."""
     if len(theta) < 4:
         raise FitError(f"need at least 4 points, got {len(theta)}")
-    theta, y, sigma = _validate_xy(theta, y, sigma)
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(y))):
+        raise FitError("phase and intensity values must be finite")
+    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
+        raise FitError("sigma values must be positive and finite")
+    # The normal equations sum w and w y with w = sigma**-2: neither may overflow.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum((1.0 + np.abs(y)) / sigma / sigma)):
+            raise FitError("sigma values are too small: the fit's weighted sums overflow")
+    if np.any(sigma**-2.0 < _TINY):  # a subnormal weight's inv(X^T W X) can overflow
+        raise FitError("sigma values are too large: a weight 1/sigma**2 underflows to 0 "
+                       "or to a subnormal")
     span = float(np.max(theta) - np.min(theta))
     if span <= math.pi:
         raise FitError(
@@ -312,10 +302,20 @@ def _fit_points(theta, y, sigma) -> FitResult:
 def fit_global(points) -> FitResult:
     """Fit ``intensity = A + B cos(phase + phi0)`` over (phase, intensity, sigma) points.
 
-    Requires at least four points spanning more than pi of phase.
+    Requires at least four points spanning more than pi of phase.  A point is
+    a row of at least three numbers; any further values are ignored.
     """
     rows = list(points)
-    return _fit_points(*([r[k] for r in rows] for k in range(3)))
+    if len(rows) < 4:
+        raise FitError(f"need at least 4 points, got {len(rows)}")
+    try:
+        columns = [np.asarray([row[k] for row in rows], dtype=float) for k in range(3)]
+    except (IndexError, TypeError, ValueError):  # a row of under three values, or a non-number
+        raise FitError("each point must be a row of at least three numbers "
+                       "(phase, intensity, sigma)") from None
+    if any(column.ndim != 1 for column in columns):
+        raise FitError("phase, intensity and sigma arrays must be 1-d and equal length")
+    return _fit_points(*columns)
 
 
 def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
@@ -333,22 +333,10 @@ def fit_time_series(record: CountsRecord, omega_m: float) -> FitResult:
                          2.0 * math.pi * np.arange(n) / n).fit(0)
 
 
-def _expectation_gradients(fit: FitResult, settings: WitnessSettings):
-    """E matrix, per-element gradients wrt (A, B, phi), per-element sigma."""
-    a, b, phi = fit.mean_level, fit.amplitude, fit.phase
-    alphas, gammas = (settings.alpha1, settings.alpha2), (settings.gamma1, settings.gamma2)
-    arg = np.add.outer(alphas, gammas) + phi
-    c, s = np.cos(arg), np.sin(arg)
-    e = (b / a) * c
-    grads = np.stack([-b * c / (a * a), c / a, -(b / a) * s], axis=-1)
-    var = np.einsum("...i,ij,...j->...", grads, fit.covariance, grads)
-    return e, grads, np.sqrt(np.maximum(var, 0.0))
-
-
 def expectation_grid(fit: FitResult, settings: WitnessSettings) -> tuple[Array, Array]:
-    """Correlations E(alpha_i, gamma_j) = C cos(alpha_i + gamma_j + phi0) and sigmas."""
-    e, _, sig = _expectation_gradients(fit, settings)
-    return e, sig
+    """Correlations E(alpha_i, gamma_j) and sigmas, as ``witness_from_fit`` reads them."""
+    result = witness_from_fit(fit, settings)
+    return result.e_matrix, result.e_sigma
 
 
 def witness(e_matrix, sigma_matrix=None) -> WitnessResult:
@@ -367,14 +355,21 @@ def witness(e_matrix, sigma_matrix=None) -> WitnessResult:
 
 
 def witness_from_fit(fit: FitResult, settings: WitnessSettings) -> WitnessResult:
-    """Witness from a global fit, propagating the full parameter covariance.
+    """Witness from a cosine fit, propagating the full parameter covariance.
 
-    Unlike :func:`witness` on the separate sigmas, this accounts for the
-    correlations the four E values inherit from sharing (A, B, phi0).
+    The one place where a ``FitResult`` becomes a witness: E(alpha_i, gamma_j)
+    = C cos(alpha_i + gamma_j + phi0), each E's gradient in (A, B, phi0), sigma_E
+    and, from the signed sum of the gradients, sigma_S.  Unlike :func:`witness`,
+    this accounts for the correlations the four E share through (A, B, phi0).
     """
-    e, grads, sig = _expectation_gradients(fit, settings)
+    a, b, phi = fit.mean_level, fit.amplitude, fit.phase
+    x = np.add.outer((settings.alpha1, settings.alpha2), (settings.gamma1, settings.gamma2))
+    c, s = np.cos(x + phi), np.sin(x + phi)
+    grads = np.stack([-b * c / (a * a), c / a, -(b / a) * s], axis=-1)  # (2, 2, 3)
+    var = np.einsum("...i,ij,...j->...", grads, fit.covariance, grads)
     grad_s = np.tensordot(_CHSH_SIGNS, grads, axes=([0, 1], [0, 1]))
-    return _witness_result(e, sig, math.sqrt(max(float(grad_s @ fit.covariance @ grad_s), 0.0)))
+    return _witness_result((b / a) * c, np.sqrt(np.maximum(var, 0.0)),
+                           math.sqrt(max(float(grad_s @ fit.covariance @ grad_s), 0.0)))
 
 
 def _witness_result(e: Array, sig: Array, sigma_s: float) -> WitnessResult:

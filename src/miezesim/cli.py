@@ -222,7 +222,7 @@ def _coherence_lines(rc: RunConfig) -> list[str]:
     alphas, phases = _scan_phases(rc.beamline, plan.scan_kind, plan.currents, plan.coords,
                                   plan.time_channels_per_period)
     checks = [("spin-phase", np.abs(alphas).max())]
-    if plan.detunings is None:  # channel 0 is at t = 0, where the phase is gamma alone
+    if plan.scan_kind == "offset":  # channel 0 is at t = 0, where the phase is gamma alone
         checks.append(("energy-phase", np.abs(phases[:, 0]).max()))
     for label, phase in checks:
         chk = coherence_check(phase, rc.packet)
@@ -238,7 +238,7 @@ def cmd_envelope(args) -> int:
     rc = _load_config(args)
     if rc.packet is None:
         raise ConfigError("packet: missing required section for the envelope command")
-    if rc.plan is not None and rc.plan.detunings is None:
+    if rc.plan is not None and rc.plan.scan_kind == "offset":
         deltas = sorted(set(rc.plan.offsets) | {0.0})
     else:
         deltas = [(-35.0 + 5.0 * i) * _MM for i in range(15)]

@@ -9,9 +9,10 @@ which is what lets every report embed a re-runnable copy of its
 configuration.
 
 Each section's keys, units and dataclass fields are described once, by one
-layout table, which drives the key check, the parsing and the echo.  An
-omitted optional key takes the dataclass default.  Unknown keys are rejected
-so typos fail loudly instead of silently falling back to defaults.
+layout table, which drives the key check, the parsing and the echo; only the
+``settings.optimal`` form and the ``l2_mm`` default stay outside the tables.
+An omitted optional key takes the dataclass default.  Unknown keys are
+rejected so typos fail loudly instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def _value_list(value, where: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _shape(value, where: str) -> PacketShape:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {bounded_repr(value)}")
+    choices = [shape.value for shape in PacketShape]
+    if value not in choices:
+        raise ConfigError(
+            f"{where}: must be one of {', '.join(choices)}, got {bounded_repr(value)}")
+    return PacketShape(value)
+
+
 def _read(section: dict, path: str, layout: tuple, extra=()) -> dict:
     """Dataclass keyword arguments, in SI, for the keys present in ``section``.
 
@@ -180,8 +191,8 @@ _BEAMLINE = (
     ("mean_level", "mean_level", _number, None, False),
 )
 
-# The shape key is read by _parse_packet and echoed first.
 _PACKET = (
+    ("shape", "shape", _shape, None, False),
     ("kappa", "kappa", _number, None, False),
     ("n_samples", "n_samples", _integer, None, False),
     ("half_span", "half_span", _number, None, False),
@@ -217,22 +228,6 @@ def _parse_beamline(section: dict) -> BeamlineConfig:
     return replace(probe, l2=focusing_distance(probe) / _MM * _MM)
 
 
-def _parse_packet(section: dict, beamline: BeamlineConfig) -> WavePacketSpec:
-    path = "packet"
-    kwargs = _read(section, path, _PACKET, extra={"shape"})
-    if "shape" in section:
-        shape = section["shape"]
-        if not isinstance(shape, str):
-            raise ConfigError(f"{path}.shape: expected a string, got {bounded_repr(shape)}")
-        try:
-            kwargs["shape"] = PacketShape(shape)
-        except ValueError:
-            choices = ", ".join(s.value for s in PacketShape)
-            raise ConfigError(
-                f"{path}.shape: must be one of {choices}, got {bounded_repr(shape)}") from None
-    return spec_from_beamline(beamline, **kwargs)
-
-
 def _parse_settings(section: dict) -> WitnessSettings:
     path = "settings"
     _check_keys(section, path, {"optimal"}.union(row[0] for row in _SETTINGS))
@@ -261,7 +256,7 @@ def parse_run_config(data: dict) -> RunConfig:
     kwargs: dict = {"beamline": beamline}
     packet = _section(data, "packet", required=False)
     if packet is not None:
-        kwargs["packet"] = _parse_packet(packet, beamline)
+        kwargs["packet"] = spec_from_beamline(beamline, **_read(packet, "packet", _PACKET))
     plan = _section(data, "plan", required=False)
     if plan is not None:
         kwargs["plan"] = ScanPlan(**_read(plan, "plan", _PLAN))
@@ -297,7 +292,7 @@ def config_echo(rc: RunConfig) -> dict:
     """
     out: dict = {"beamline": _echo(rc.beamline, _BEAMLINE)}
     if rc.packet is not None:
-        out["packet"] = {"shape": rc.packet.shape.value, **_echo(rc.packet, _PACKET)}
+        out["packet"] = _echo(rc.packet, _PACKET)
     if rc.plan is not None:
         out["plan"] = _echo(rc.plan, _PLAN)
     out["settings"] = _echo(rc.settings, _SETTINGS)

@@ -47,16 +47,16 @@ class DiagnosticError(MiezesimError):
     """A self-check failed, e.g. too many bootstrap refits failed (exit code 4)."""
 
 
-def bounded_repr(value, limit: int = 80) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters.
+def bounded_repr(value) -> str:
+    """``repr(value)`` for an error message, cut to 80 characters.
 
-    An integer of more than ``4 * limit`` bits is named by its bit length
-    instead: ``repr`` itself raises for one of over 4300 digits.
+    An integer of more than 320 bits is named by its bit length instead:
+    ``repr`` itself raises for one of over 4300 digits.
     """
-    if isinstance(value, int) and value.bit_length() > 4 * limit:
+    if isinstance(value, int) and value.bit_length() > 320:
         return f"an integer of {value.bit_length()} bits"
     text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def integer_in_range(value, low: int, high: int, message: str) -> int:

@@ -320,13 +320,12 @@ def _phasors(u: Array, slope: Array, offset) -> Array:
 def _direct_sum(weights: Array, offset: Array, slope: Array, u: Array) -> Array:
     """sum_k weights e^{i(offset + slope u)} at each u, one phasor row per plane.
 
-    ``offset`` and ``slope`` are (K,), which gives (Z,), or a (B, K) stack,
-    which gives (B, Z) one row at a time, each against the one (K,) ``weights``.
+    ``offset`` and ``slope`` are (B, K) stacks, which give (B, Z) one row at a
+    time, each against the one (K,) ``weights``.
     """
-    if np.ndim(slope) == 2:
-        return np.array([_direct_sum(weights, *row, u) for row in zip(offset, slope)])
     # einsum, not @: threaded BLAS gemv can stall for ms on few-plane windows
-    return np.einsum("zk,k->z", _phasors(u, slope, offset), weights)
+    return np.array([np.einsum("zk,k->z", _phasors(u, row_slope, row_offset), weights)
+                     for row_offset, row_slope in zip(offset, slope)])
 
 
 def _bessel_orders(a: Array, degree: int) -> Array:
@@ -458,20 +457,19 @@ def _chebyshev_k_sum(weights: Array, offset: Array, slope: Array, u: Array) -> A
 
 def _k_integral(state: PacketState, amp: Array, offset: Array, slope: Array,
                 u: Array, labels: tuple[str, ...]) -> Array:
-    """Trapezoid integral of amp e^{i(offset + slope u)} dk at each u; guarded at u's ends.
+    """Trapezoid integrals of amp e^{i(offset + slope u)} dk at each u; guarded at u's ends.
 
-    ``offset`` and ``slope`` are (K,) for one integral, which gives (Z,), or
-    (B, K) for a stack of B, which gives (B, Z); each row is guarded in turn
-    under its entry of ``labels``.  A window with more planes than the
-    Chebyshev terms its phase reach needs is summed from its Chebyshev
-    series at every plane, all rows in one pass (see ``_chebyshev_k_sum``,
-    which states the error bound).  Any other window, such as an envelope's
-    few offsets, takes the direct Z x K quadrature, row by row.
+    ``offset`` and ``slope`` are (B, K) stacks, which give (B, Z); each row
+    is guarded in turn under its entry of ``labels``.  A window with more
+    planes than the Chebyshev terms its phase reach needs is summed from its
+    Chebyshev series at every plane, all rows in one pass (see
+    ``_chebyshev_k_sum``, which states the error bound).  Any other window,
+    such as an envelope's few offsets, takes the direct Z x K quadrature.
     """
     if not u.size:
-        return np.zeros(np.shape(slope)[:-1] + (0,), dtype=complex)
+        return np.zeros((len(slope), 0), dtype=complex)
     ends = np.array([[u.min()], [u.max()]])
-    for row_offset, row_slope, label in zip(np.atleast_2d(offset), np.atleast_2d(slope), labels):
+    for row_offset, row_slope, label in zip(offset, slope, labels):
         _guard(row_offset, row_slope, ends, label)
     half = np.diff(state.k) / 2.0
     weights = amp * (np.r_[half, 0.0] + np.r_[0.0, half])
@@ -532,8 +530,8 @@ def _cross_term(state: PacketState, z: Array) -> Array:
     The relative phase is affine in z, so the resolution guard checks the
     two end planes of the window, where its k step is largest.
     """
-    return _k_integral(state, state.g**2, state.theta[1] - state.theta[0],
-                       state.p[1] - state.p[0], z, ("relative",))
+    return _k_integral(state, state.g**2, np.diff(state.theta, axis=0),
+                       np.diff(state.p, axis=0), z, ("relative",))[0]
 
 
 def detected_intensity(state: PacketState, z, t: float,

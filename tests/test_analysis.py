@@ -19,6 +19,7 @@ from miezesim import (
     PRESETS,
     ScanPlan,
     SpinEnergyState,
+    TSIRELSON_BOUND,
     WitnessSettings,
     analyze_records,
     bootstrap_uncertainty,
@@ -178,11 +179,43 @@ def test_fit_rejects_exactly_zero_amplitude():
         cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e-154),
         # Weights that underflow to 0: a normal matrix of zeros is singular.
         cosine_points(10.0, 3.0, 0.3, n=8, sigma=1e200),
+        # Rows that are not three numbers: a 2-vector phase, a text intensity, a
+        # row of two values, a row that is an integer; and no rows at all.
+        [([0.0, 0.5], 13.0, 1.0)] + cosine_points(10.0, 3.0, 0.3, n=8)[1:],
+        [(0.0, "x", 1.0)] + cosine_points(10.0, 3.0, 0.3, n=8)[1:],
+        cosine_points(10.0, 3.0, 0.3, n=8)[:7] + [(5.5, 7.0)],
+        cosine_points(10.0, 3.0, 0.3, n=8)[:7] + [5],
+        [],
     ],
 )
 def test_fit_global_validates_points(points):
     with pytest.raises(FitError):
         fit_global(points)
+
+
+@pytest.mark.parametrize("row", [([0.0, 0.5], 13.0, 1.0), (0.0, "x", 1.0), (5.5, 7.0), 5])
+def test_fit_global_names_a_malformed_point(row):
+    message = "each point must be a row of at least three numbers (phase, intensity, sigma)"
+    with pytest.raises(FitError, match=re.escape(message)):
+        fit_global(cosine_points(10.0, 3.0, 0.3, n=8)[:7] + [row])
+    # Fewer than four points are refused for their number first, as before.
+    with pytest.raises(FitError, match="^need at least 4 points, got 3$"):
+        fit_global(cosine_points(10.0, 3.0, 0.3, n=8)[:2] + [row])
+    with pytest.raises(FitError, match="^need at least 4 points, got 0$"):
+        fit_global([])
+
+
+def test_fit_global_reads_the_first_three_values_of_each_point():
+    # A report's points carry a fourth value, the model; fitted again through
+    # fit_global they give the report's own fit, bit for bit.
+    for preset in PRESETS:
+        rc = load_preset(preset)
+        report = analyze_records(rc.beamline, simulate_scan(rc.beamline, rc.plan), rc.settings)
+        fit = fit_global(report.points)
+        assert (fit.mean_level, fit.amplitude, fit.phase, fit.chi_square, fit.dof) == (
+            report.fit.mean_level, report.fit.amplitude, report.fit.phase,
+            report.fit.chi_square, report.fit.dof)
+        assert np.array_equal(fit.covariance, report.fit.covariance)
 
 
 @pytest.mark.parametrize("huge", [slice(None), slice(0, 1)])
@@ -1362,3 +1395,36 @@ def test_preset_witness_routes_are_pinned(name):
     boot = bootstrap_uncertainty(rc.beamline, recs, rc.settings, resamples=200, seed=0)
     assert math.isclose(boot.sigma_s, boot_sigma, rel_tol=1e-10)
     assert boot.failures == boot_failures
+
+
+# ---------------------------------------------------------------------------
+# the phase reference: at the optimal settings every fitted route reads
+# S = 2 sqrt(2) C cos(phi0), so a phase offset lowers S with the source unchanged
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_fitted_witness_is_tsirelson_times_contrast_times_cos_phase(preset):
+    # Sum over the optimal settings' signs of cos(x_ij + phi0) = 2 sqrt(2) cos(phi0),
+    # for the primary fit and for the per-point route's pooled fit alike.
+    rc = load_preset(preset)
+    rng = np.random.default_rng(1700 + PRESETS.index(preset))
+    for offset in rng.uniform(-1.2, 1.2, 13).tolist():
+        plan = replace(rc.plan, phase_offset=offset, rng_seed=int(rng.integers(2**32)))
+        records = simulate_scan(rc.beamline, plan)
+        report = analyze_records(rc.beamline, records, rc.settings)
+        route, pooled = channel_fits_witness(rc.beamline, records, rc.settings)
+        for s, fit in ((report.witness.s, report.fit), (route.s, pooled)):
+            want = TSIRELSON_BOUND * fit.contrast * math.cos(fit.phase)
+            assert abs(s - want) <= 1e-12 * abs(want)
+
+
+def test_a_phase_offset_makes_an_unchanged_source_read_classical():
+    # cg4b-10khz's source reads S = 2.40 at phi0 ~ 0; at a plan phase offset of
+    # 0.8 rad its contrast is the same, and every route reads classical.
+    rc = load_preset("cg4b-10khz")
+    records = simulate_scan(rc.beamline, replace(rc.plan, phase_offset=0.8))
+    report = analyze_records(rc.beamline, records, rc.settings)
+    routes = (report.witness, report.channel_witness, report.count_witness)
+    assert [round(route.s, 3) for route in routes] == [1.668, 1.674, 1.685]
+    assert {route.classification for route in routes} == {"classical"}
+    assert round(report.fit.contrast, 2) == 0.85

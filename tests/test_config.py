@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from miezesim import config
 from miezesim import (
     ConfigError,
     PRESETS,
@@ -325,6 +326,13 @@ def test_preset_parameters():
     assert reseda.beamline.wavelength == 0.6e-9
     assert reseda.beamline.bandwidth == 0.116
     assert reseda.packet.shape.value == "triangular"
+
+
+def test_load_preset_names_the_preset_in_its_errors(monkeypatch):
+    monkeypatch.setattr(config, "preset_text", lambda name: json.dumps({"beamline": {}}))
+    with pytest.raises(ConfigError, match=r"^preset reseda: beamline\.wavelength_nm: "
+                                          r"missing required field$"):
+        load_preset("reseda")
 
 
 def test_preset_text_round_trips():
