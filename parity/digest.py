@@ -23,7 +23,10 @@ The input set:
   Chebyshev series and one that takes the direct sum;
 * per preset: the files and stdout of ``simulate`` (ideal and wavepacket),
   ``witness --bootstrap 200``, ``envelope --format json`` and ``focus --format
-  json``, run in process through ``cli.main``.
+  json``, run in process through ``cli.main``;
+* the exit code, stdout and stderr of each call that the parser answers on its
+  own: ``--version``, ``--help``, each subcommand's ``--help``, ``simulate
+  --preset nope`` and ``witness`` without ``--counts``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,14 @@ from miezesim.quantum import WitnessSettings
 SEEDS = tuple(range(1, 21))
 DETUNINGS = (-3000.0, -1500.0, 1500.0, 3000.0)
 RESAMPLES = 200
+PARSER_CALLS = {
+    "version": ["--version"],
+    "help": ["--help"],
+    **{f"{command}/help": [command, "--help"]
+       for command in ("simulate", "witness", "envelope", "focus")},
+    "simulate/unknown_preset": ["simulate", "--preset", "nope"],
+    "witness/no_counts": ["witness"],
+}
 
 
 def sha256(data: bytes) -> str:
@@ -192,11 +203,26 @@ def put_cli(out: dict, preset: str, workdir: Path) -> None:
                 path.read_bytes())
 
 
+def put_parser(out: dict) -> None:
+    """Exit code, stdout and stderr of each call the parser ends with ``SystemExit``."""
+    for name, argv in PARSER_CALLS.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out[f"cli/{name}/exit"] = code
+        out[f"cli/{name}/stdout"] = stdout.getvalue()
+        out[f"cli/{name}/stderr"] = stderr.getvalue()
+
+
 def digest(tree: Path) -> dict:
     source = Path(miezesim.__file__).resolve()
     if (tree / "src").resolve() not in source.parents:
         raise SystemExit(f"miezesim was imported from {source}, not from {tree}/src")
     out: dict = {}
+    put_parser(out)
     put_quantum(out)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

@@ -6,8 +6,8 @@
 
 ``<tree>`` is a checkout whose package is in ``<tree>/src``, such as a
 parent commit unpacked with ``git archive <rev> | tar -x -C <dir>``.  The
-digest (``digest.py``) runs in a fresh interpreter with ``PYTHONPATH=<tree>/src``,
-once with the default BLAS thread count and once with
+digest (``digest.py``) runs in a fresh interpreter with ``PYTHONPATH=<tree>/src``
+and ``COLUMNS=80``, once with the default BLAS thread count and once with
 ``OPENBLAS_NUM_THREADS=1``.  The output holds each run's fields under ``runs``
 beside the versions, the platform and each run's wall time.  Stdlib and numpy
 only.
@@ -33,7 +33,7 @@ SETTINGS = {"default": {}, "single": {"OPENBLAS_NUM_THREADS": "1"}}
 def digest_run(tree: Path, blas: str) -> tuple[dict, float]:
     """One digest of ``tree`` in a fresh interpreter, and its wall time in s."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(SETTINGS[blas], PYTHONPATH=str(tree / "src"))
+    env.update(SETTINGS[blas], PYTHONPATH=str(tree / "src"), COLUMNS="80")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, str(HERE / "digest.py"), str(tree)], env=env,
                           capture_output=True, text=True)

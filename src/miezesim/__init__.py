@@ -13,23 +13,49 @@ Layers:
 * :mod:`miezesim.synth` — Poisson-sampled synthetic scans and CSV I/O.
 * :mod:`miezesim.analysis` — cosine fits, correlations, witness, bootstrap.
 * :mod:`miezesim.config` / :mod:`miezesim.cli` — run configs and subcommands.
-"""
 
-from . import analysis, beamline, config, constants, errors, quantum, synth, wavepacket
-from .analysis import *  # noqa: F403
-from .beamline import *  # noqa: F403
-from .config import *  # noqa: F403
-from .constants import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .quantum import *  # noqa: F403
-from .synth import *  # noqa: F403
-from .wavepacket import *  # noqa: F403
+``import miezesim`` loads no layer.  The first read of a public name, of
+``__all__`` or of ``dir(miezesim)`` imports every layer, numpy with them, and
+binds all the public names here, so ``miezesim --version`` answers without
+numpy.
+"""
 
 __version__ = "0.1.0"
 
-# The public names are those of the layer modules, each listed once, in its module.
-__all__ = ["__version__"] + [
-    name
-    for layer in (constants, errors, quantum, beamline, wavepacket, synth, analysis, config)
-    for name in layer.__all__
-]
+_LAYERS = ("constants", "errors", "quantum", "beamline", "wavepacket", "synth", "analysis",
+           "config")
+
+
+def _bind_layers() -> None:
+    """Import the layers and bind their public names and ``__all__`` here, once.
+
+    The public names are those of the layer modules, each listed once, in its module.
+    A name already bound here, such as one a test patched, is kept.
+    """
+    namespace = globals()
+    if "__all__" not in namespace:
+        from importlib import import_module
+
+        names = ["__version__"]
+        for layer in _LAYERS:
+            module = import_module(f"{__name__}.{layer}")
+            for name in module.__all__:
+                namespace.setdefault(name, getattr(module, name))
+            names += module.__all__
+        namespace["__all__"] = names
+
+
+def __getattr__(name: str):
+    # Tools probe dunder names such as __wrapped__ and __test__; none of them loads a layer.
+    if name.startswith("__") and name.endswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_layers()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list:
+    _bind_layers()
+    return sorted(globals())

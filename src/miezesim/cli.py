@@ -10,36 +10,32 @@ Subcommands:
 Exit codes: 0 success, also with no message when a reader such as ``head`` closes
 the stdout pipe early, 2 malformed input, configuration or k-grid resolution
 refusal, 3 infeasible physics, 4 fit failure, degenerate data or diagnostic.
+
+The layer names the commands call (``_COMMAND_NAMES``) are bound into this module
+by ``_bind_commands``, which ``main`` runs after parsing and the module
+``__getattr__`` runs when code outside reads one of them.  Until then the
+``cmd_*`` helpers, ``_load_config`` and ``_coherence_lines`` raise ``NameError``;
+call ``_bind_commands()`` first to use them without ``main``.  The binding copies
+each name once and keeps one already bound here, so patch a command name on this
+module, not on its layer: a layer patch made before the first binding is copied
+here and outlives the patch's undo.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import AnalysisReport, WitnessResult, analyze_records, bootstrap_uncertainty
-from .beamline import _scan_phases, focusing_distance, mieze_frequency
-from .config import (
-    _KHZ,
-    _MM,
-    _MT_MM,
-    PRESETS,
-    RunConfig,
-    config_echo,
-    load_preset,
-    load_run_config,
-    parse_run_config,
-)
-from .constants import CODATA2018
+from .constants import CODATA2018, INTENSITY_MODELS, PRESETS
 from .errors import (
     ConfigError,
     DiagnosticError,
@@ -47,19 +43,42 @@ from .errors import (
     PhysicsError,
     ResolutionError,
 )
-from .synth import (
-    INTENSITY_MODELS,
-    _fmt,
-    _sidecar_path,
-    _write_csv,
-    _write_json,
-    read_counts_csv,
-    simulate_scan,
-    write_counts_csv,
-)
-from .wavepacket import coherence_check, contrast_envelope
+
+if TYPE_CHECKING:
+    from .analysis import AnalysisReport, WitnessResult
+    from .config import RunConfig
 
 __all__ = ["main", "build_parser"]
+
+# The layer names the subcommands call.  They load numpy, so they are bound into this
+# module only once a subcommand runs (or code outside reads one): --version, --help and
+# usage errors answer before numpy loads.
+_COMMAND_NAMES = {
+    "analysis": ("analyze_records", "bootstrap_uncertainty"),
+    "beamline": ("_scan_phases", "focusing_distance", "mieze_frequency"),
+    "config": ("_KHZ", "_MM", "_MT_MM", "config_echo", "load_preset", "load_run_config",
+               "parse_run_config"),
+    "synth": ("_fmt", "_sidecar_path", "_write_csv", "_write_json", "read_counts_csv",
+              "simulate_scan", "write_counts_csv"),
+    "wavepacket": ("coherence_check", "contrast_envelope"),
+}
+
+
+def _bind_commands() -> None:
+    """Bind the names in ``_COMMAND_NAMES`` here, keeping any already bound (or patched)."""
+    namespace = globals()
+    for layer, names in _COMMAND_NAMES.items():
+        module = importlib.import_module(f"{__package__}.{layer}")
+        for name in names:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # Only a command name loads: `from miezesim.cli import main` probes __path__ here.
+    if any(name in names for names in _COMMAND_NAMES.values()):
+        _bind_commands()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_config_args(sub: argparse.ArgumentParser, required: bool) -> None:
@@ -221,9 +240,9 @@ def _coherence_lines(rc: RunConfig) -> list[str]:
     plan = rc.plan
     alphas, phases = _scan_phases(rc.beamline, plan.scan_kind, plan.currents, plan.coords,
                                   plan.time_channels_per_period)
-    checks = [("spin-phase", np.abs(alphas).max())]
+    checks = [("spin-phase", abs(alphas).max())]
     if plan.scan_kind == "offset":  # channel 0 is at t = 0, where the phase is gamma alone
-        checks.append(("energy-phase", np.abs(phases[:, 0]).max()))
+        checks.append(("energy-phase", abs(phases[:, 0]).max()))
     for label, phase in checks:
         chk = coherence_check(phase, rc.packet)
         verdict = "satisfied" if chk.satisfied else "VIOLATED"
@@ -352,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind_commands()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit

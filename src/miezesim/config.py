@@ -24,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .beamline import BeamlineConfig, focusing_distance
+from .constants import PRESETS
 from .errors import ConfigError, bounded_repr
 from .quantum import WitnessSettings, optimal_settings
 from .synth import ScanPlan, _read_json
@@ -31,7 +32,6 @@ from .wavepacket import PacketShape, WavePacketSpec, spec_from_beamline
 
 __all__ = [
     "RunConfig",
-    "PRESETS",
     "load_run_config",
     "parse_run_config",
     "config_echo",
@@ -45,7 +45,6 @@ _MM = 1e-3
 _KHZ = 1e3
 _MT_MM = 1e-6  # mT*mm -> T*m
 
-PRESETS = ("cg4b-10khz", "cg4b-100khz", "reseda")
 _MAX_RANGE_POINTS = 2**16
 
 

@@ -1,7 +1,9 @@
-"""Physical constants used throughout the package.
+"""Physical constants, and the names of the shipped presets and intensity models.
 
-All values are CODATA-2018. They live here and nowhere else so that every
-module agrees on them bit for bit.
+The physical values are CODATA-2018. They live here and nowhere else so that
+every module agrees on them bit for bit.  The two name tuples live here because
+this module imports no numpy: the CLI's parser offers them as choices before
+any numeric layer loads.
 """
 
 from __future__ import annotations
@@ -9,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["CODATA2018", "PhysicalConstants"]
+__all__ = ["CODATA2018", "PhysicalConstants", "PRESETS", "INTENSITY_MODELS"]
+
+PRESETS = ("cg4b-10khz", "cg4b-100khz", "reseda")
+INTENSITY_MODELS = ("ideal", "wavepacket")
 
 
 @dataclass(frozen=True)

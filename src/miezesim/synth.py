@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamline import BeamlineConfig, _scan_phases
+from .constants import INTENSITY_MODELS
 from .errors import ConfigError, bounded_repr, integer_in_range
 from .wavepacket import WavePacketSpec, contrast_envelope
 
@@ -39,15 +40,12 @@ __all__ = [
     "ScanPlan",
     "CountsRecord",
     "CountsTable",
-    "INTENSITY_MODELS",
     "simulate_scan",
     "expected_channel_means",
     "normalize",
     "write_counts_csv",
     "read_counts_csv",
 ]
-
-INTENSITY_MODELS = ("ideal", "wavepacket")
 
 _MAX_SEED = 2**64
 _MAX_CHANNELS = 2**16

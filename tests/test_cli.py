@@ -81,6 +81,82 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# The layers that import numpy; cli itself needs only constants and errors of the eight.
+NUMERIC_LAYERS = ("quantum", "beamline", "wavepacket", "synth", "analysis", "config")
+ALL_LAYERS = ("constants", "errors", *NUMERIC_LAYERS)
+
+
+def fresh_python(probe: str) -> dict:
+    """The JSON object that ``probe`` prints last, run in a fresh interpreter."""
+    env = dict(os.environ)
+    package_root = str(Path(miezesim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def loaded_modules(names) -> str:
+    """Probe source for a list of which of ``names`` are in ``sys.modules``."""
+    return f"[m for m in {list(names)!r} if m in sys.modules]"
+
+
+def test_version_help_and_usage_errors_answer_before_numpy_loads():
+    heavy = ["numpy", *(f"miezesim.{layer}" for layer in NUMERIC_LAYERS)]
+    layers = [f"miezesim.{layer}" for layer in ALL_LAYERS]
+    probe = f"""
+import contextlib, io, json, sys
+from miezesim.cli import main
+out = {{}}
+for argv in (["--version"], ["--help"], ["simulate", "--help"], ["simulate", "--preset", "nope"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out[" ".join(argv)] = [code, {loaded_modules(heavy)}]
+with contextlib.redirect_stdout(io.StringIO()):
+    out["focus"] = [main(["focus", "--preset", "reseda", "--format", "json"]),
+                    {loaded_modules(layers)}]
+# numpy is the only runtime dependency; no layer may pull scipy in.
+out["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(out))
+"""
+    assert fresh_python(probe) == {
+        "--version": [0, []],
+        "--help": [0, []],
+        "simulate --help": [0, []],
+        "simulate --preset nope": [2, []],
+        "focus": [0, layers],
+        "scipy": [],
+    }
+
+
+def test_package_binds_its_names_on_first_read():
+    layers = [f"miezesim.{layer}" for layer in ALL_LAYERS]
+    probe = f"""
+import json, sys
+import miezesim
+after_import = {loaded_modules(["numpy", *layers])}
+has_path, has_wrapped = hasattr(miezesim, "__path__"), hasattr(miezesim, "__wrapped__")
+after_dunders = {loaded_modules(["numpy", *layers])}
+listed = dir(miezesim)
+print(json.dumps({{"after_import": after_import, "dunders": [has_path, has_wrapped],
+                  "after_dunders": after_dunders,
+                  "unlisted": sorted(set(miezesim.__all__) - set(listed)),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+"""
+    assert fresh_python(probe) == {"after_import": [], "dunders": [True, False],
+                                   "after_dunders": [], "unlisted": [], "scipy": []}
+    namespace = {}
+    exec("from miezesim import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(miezesim.__all__)
+    for name in miezesim.__all__:
+        assert namespace[name] is getattr(miezesim, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        miezesim.no_such_name  # noqa: B018
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["focus", "--config", str(tmp_path / "nope.json")])
     assert code == 2
